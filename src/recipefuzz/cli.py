@@ -31,7 +31,6 @@ EXIT_VALIDATION = 5
 BUILTIN_RECIPES = {
     "default": providers.default_recipe_doc,
     "reference": lambda: _reference_recipe_doc(),
-    "listing1": lambda: _reference_recipe_doc(),  # historical alias
 }
 
 
@@ -163,7 +162,7 @@ def _cmd_micro(args) -> int:
         recipe=recipe, intervention=args.intervention, candidate_id=f"cli_{recipe.id}"
     )
     snap_dir = args.snapshot_dir or (str(Path(args.queue)) + "-snapshot")
-    snapshot = micro.snapshot_corpus(args.queue, snap_dir)
+    snapshot = micro.snapshot_corpus(micro.read_queue(args.queue), snap_dir)
     result = micro.evaluate_candidate(
         candidate,
         snapshot,

@@ -127,9 +127,8 @@ class Blackboard:
         }
 
 
-def hash_context(blackboard: Blackboard | dict) -> str:
-    doc = blackboard.to_doc() if isinstance(blackboard, Blackboard) else blackboard
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def hash_context(blackboard: Blackboard) -> str:
+    canon = json.dumps(blackboard.to_doc(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -237,13 +236,12 @@ def propose_candidates(
     if k < 1:
         raise ConfigInvalid("k must be >= 1")
     doc = blackboard.to_doc()
-    ctx_hash = hash_context(doc)
+    ctx_hash = hash_context(blackboard)
     chain = list(providers) + [RuleProvider()]
     candidates: list[Candidate] = []
     records: list[dict] = []
     for i in range(k):
         intervention = INTERVENTIONS[i % len(INTERVENTIONS)]
-        chosen = None
         for provider in chain:
             text = provider.propose(doc, intervention)
             if text is None:
@@ -276,31 +274,14 @@ def propose_candidates(
                     "response_hash": resp_hash,
                 }
             )
-            chosen = recipe
+            candidates.append(
+                Candidate(
+                    recipe=recipe,
+                    intervention=intervention,
+                    candidate_id=f"c{cycle:02d}_{i}_{intervention}",
+                )
+            )
             break
-        if chosen is None:
-            # Rule provider covers default/dictionary always; seed-scoped
-            # interventions fall back to the default recipe document.
-            text = default_recipe_doc()
-            chosen = parse_recipe(text)
-            records.append(
-                {
-                    "provider": "rule",
-                    "intervention": intervention,
-                    "schema_valid": True,
-                    "fallback_used": False,
-                    "recipe_id": chosen.id,
-                    "context_hash": ctx_hash,
-                    "response_hash": hash_response(text),
-                }
-            )
-        candidates.append(
-            Candidate(
-                recipe=chosen,
-                intervention=intervention,
-                candidate_id=f"c{cycle:02d}_{i}_{intervention}",
-            )
-        )
     return candidates, records
 
 
@@ -324,7 +305,7 @@ class _Campaign:
         self.bitmap = EdgeBitmap(capacity=config.map_capacity)
         self.queue: list[CorpusEntry] = []
         self.favored: dict[int, tuple[int, int]] = {}  # edge slot -> (len, queue idx)
-        self.favored_set: set[int] = set()
+        self.slots_held: list[int] = []  # queue idx -> edge slots it holds in favored
         self.crash_sigs: set[frozenset[int]] = set()
 
         self.t = 0.0
@@ -345,9 +326,7 @@ class _Campaign:
         self.detector_on = gate_on or config.ablation == "controller-only"
         self.gate_on = gate_on
         self.recipes_on = config.ablation in ("rule-only", "full")
-        self.providers = tuple(config.providers) if config.ablation == "full" else ()
-        if config.ablation == "no-mutator":
-            self.providers = tuple(config.providers)
+        self.providers = tuple(config.providers) if config.ablation in ("full", "no-mutator") else ()
 
         self.detector_state = DetectorState.for_config(config.detector)
 
@@ -357,28 +336,30 @@ class _Campaign:
 
         for i, (name, data) in enumerate(seeds):
             entry = make_entry(f"id_{i:06d}_{name}", data)
-            self._add_to_queue(entry, execute=True)
+            result = self.executor.execute(entry.data)
+            self.execs_done += 1
+            merge_into(self.bitmap, result)
+            self._admit(entry, result.edges_hit)
 
     # -- queue / coverage plumbing ------------------------------------
 
-    def _add_to_queue(self, entry: CorpusEntry, execute: bool) -> int:
-        """Returns the number of new edges the entry contributed."""
-        new_edges = 0
-        if execute:
-            result = self.executor.execute(entry.data)
-            self.execs_done += 1
-            _, new_edges = merge_into(self.bitmap, result)
+    def _admit(self, entry: CorpusEntry, edges_hit: frozenset[int]) -> None:
+        """Append entry to the queue and to queue/ on disk, and give it
+        every edge slot it reaches with a shorter input than the slot's
+        current holder. An entry holding at least one slot is favored."""
         idx = len(self.queue)
         self.queue.append(entry)
+        self.slots_held.append(0)
         (self.queue_dir / entry.seed_id).write_bytes(entry.data)
-        if execute:
-            for edge in result.edges_hit:
-                slot = edge % self.bitmap.capacity
-                held = self.favored.get(slot)
-                if held is None or len(entry.data) < held[0]:
-                    self.favored[slot] = (len(entry.data), idx)
-        self.favored_set = {i for _, i in self.favored.values()}
-        return new_edges
+        size = len(entry.data)
+        for edge in edges_hit:
+            slot = edge % self.bitmap.capacity
+            held = self.favored.get(slot)
+            if held is None or size < held[0]:
+                if held is not None:
+                    self.slots_held[held[1]] -= 1
+                self.favored[slot] = (size, idx)
+                self.slots_held[idx] += 1
 
     def _next_entry(self) -> CorpusEntry:
         while True:
@@ -387,7 +368,7 @@ class _Campaign:
                 self.cycles_done += 1
             idx = self._queue_pos
             self._queue_pos += 1
-            if idx in self.favored_set or self.rng.random() >= SKIP_NON_FAVORED:
+            if self.slots_held[idx] > 0 or self.rng.random() >= SKIP_NON_FAVORED:
                 return self.queue[idx]
 
     def _emit(self, kind: str, payload: dict, context_hash=None, response_hash=None):
@@ -405,11 +386,10 @@ class _Campaign:
         self._energy -= 1
         entry = self._cur_entry
         if self.active is not None:
-            outcome = mutate(
-                self.active, entry.data, tuple(self.queue), self.rng,
+            data = mutate(
+                self.active, entry.data, self.queue, self.rng,
                 self.config.max_size, seed=entry,
-            )
-            data = outcome.output
+            ).output
         else:
             data = havoc_mutate(entry.data, self.rng, self.config.max_size)
         result = self.executor.execute(data)
@@ -420,15 +400,7 @@ class _Campaign:
             return
         if new_edges > 0:
             child = make_entry(f"id_{len(self.queue):06d}_x{self.execs_done}", data)
-            idx = len(self.queue)
-            self.queue.append(child)
-            (self.queue_dir / child.seed_id).write_bytes(child.data)
-            for edge in result.edges_hit:
-                slot = edge % self.bitmap.capacity
-                held = self.favored.get(slot)
-                if held is None or len(child.data) < held[0]:
-                    self.favored[slot] = (len(child.data), idx)
-            self.favored_set = {i for _, i in self.favored.values()}
+            self._admit(child, result.edges_hit)
             self.last_find = self.t + 1.0  # credited to this frame's close
 
     def _handle_plateau(self, event) -> None:
@@ -444,7 +416,7 @@ class _Campaign:
             },
         )
         snap_dir = self.out / "snapshots" / f"cycle_{cycle:02d}"
-        snapshot = snapshot_corpus(self.queue_dir, snap_dir)
+        snapshot = snapshot_corpus(self.queue, snap_dir)
         self._emit(
             K_SNAPSHOT,
             {
@@ -525,7 +497,7 @@ class _Campaign:
                 "size": len(e.data),
                 "family": e.family,
             }
-            for e in sorted(self.queue, key=lambda e: e.seed_id)
+            for e in snapshot.entries
         )
         if self.config.static_tokens:
             static_context = {
@@ -652,9 +624,12 @@ def run_campaign(
     """Run one campaign to its budget and write the artifact set.
 
     The executor defaults to the built-in target named by the config;
-    seeds default to the target's curated corpus. Artifacts: fuzzer_stats,
-    coverage.csv, events.jsonl, run_metadata.json plus queue/, snapshots/
-    and recipes/ directories under output_dir.
+    seeds default to the target's curated corpus. The in-memory queue is
+    the campaign's corpus: the main loop mutates over it and each plateau
+    snapshots it, and nothing reads queue/ back. queue/ is still written
+    on every admission, as a record of the corpus. Artifacts:
+    fuzzer_stats, coverage.csv, events.jsonl, run_metadata.json plus
+    queue/, snapshots/ and recipes/ directories under output_dir.
     """
     validate_config(config)
     if executor is None:

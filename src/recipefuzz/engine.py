@@ -17,6 +17,7 @@ import hashlib
 import multiprocessing
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .recipe import ByteRange, CompactRecipe, OperatorKind, Selector, choose_operator
@@ -277,7 +278,7 @@ _OP_TABLE = {
 def mutate(
     compact: CompactRecipe,
     data: bytes,
-    corpus: tuple[CorpusEntry, ...],
+    corpus: Sequence[CorpusEntry],
     rng,
     max_size: int,
     seed: CorpusEntry | None = None,

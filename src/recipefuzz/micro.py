@@ -23,6 +23,7 @@ import hashlib
 import json
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,7 +108,7 @@ class PromotionDecision:
 @dataclass(frozen=True)
 class SnapshotRef:
     path: Path
-    entries: tuple[str, ...]
+    entries: tuple[CorpusEntry, ...]
     manifest: dict[str, str]
     digest: str
 
@@ -143,35 +144,44 @@ def compute_reward(
     return coverage + weights.gamma * delta_crashes + weights.delta_h * hits - weights.delta_m * misses
 
 
-def snapshot_corpus(queue_dir: Path | str, dest_dir: Path | str) -> SnapshotRef:
-    """Freeze the queue into a private snapshot directory.
-
-    Copies every queue entry byte-for-byte and writes a manifest mapping
-    entry name to content digest; later queue changes cannot affect the
-    snapshot.
-    """
+def read_queue(queue_dir: Path | str) -> tuple[CorpusEntry, ...]:
+    """Read a queue directory into corpus entries, sorted by name."""
     queue_dir = Path(queue_dir)
-    dest_dir = Path(dest_dir)
     try:
-        names = sorted(p.name for p in queue_dir.iterdir() if p.is_file())
+        entries = tuple(
+            make_entry(p.name, p.read_bytes())
+            for p in sorted(queue_dir.iterdir())
+            if p.is_file()
+        )
     except OSError as exc:
         raise IoFailure(f"cannot read queue dir {queue_dir}: {exc}") from exc
-    if not names:
+    if not entries:
         raise EmptyQueue(f"queue dir {queue_dir} has no entries")
+    return entries
+
+
+def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> SnapshotRef:
+    """Freeze corpus entries into a private snapshot directory.
+
+    Writes every entry byte-for-byte under its seed_id, plus a manifest
+    mapping seed_id to seed_hash (the sha256 of the data). The returned
+    ref carries the entries sorted by seed_id; later corpus changes cannot
+    affect it.
+    """
+    entries = tuple(sorted(entries, key=lambda e: e.seed_id))
+    dest_dir = Path(dest_dir)
+    manifest = {e.seed_id: e.seed_hash for e in entries}
+    manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
     try:
         dest_dir.mkdir(parents=True, exist_ok=False)
-        manifest: dict[str, str] = {}
-        for name in names:
-            data = (queue_dir / name).read_bytes()
-            (dest_dir / name).write_bytes(data)
-            manifest[name] = hashlib.sha256(data).hexdigest()
-        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+        for entry in entries:
+            (dest_dir / entry.seed_id).write_bytes(entry.data)
         (dest_dir / SNAPSHOT_MANIFEST).write_bytes(manifest_bytes)
     except OSError as exc:
         raise IoFailure(f"cannot write snapshot {dest_dir}: {exc}") from exc
     return SnapshotRef(
         path=dest_dir,
-        entries=tuple(names),
+        entries=entries,
         manifest=manifest,
         digest=hashlib.sha256(manifest_bytes).hexdigest(),
     )
@@ -179,16 +189,11 @@ def snapshot_corpus(queue_dir: Path | str, dest_dir: Path | str) -> SnapshotRef:
 
 def snapshot_digest(ref: SnapshotRef) -> str:
     """Recompute the snapshot digest from its on-disk content."""
-    manifest = {}
-    for name in ref.entries:
-        manifest[name] = hashlib.sha256((ref.path / name).read_bytes()).hexdigest()
+    manifest = {
+        e.seed_id: hashlib.sha256((ref.path / e.seed_id).read_bytes()).hexdigest()
+        for e in ref.entries
+    }
     return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
-
-
-def load_snapshot(ref: SnapshotRef) -> tuple[CorpusEntry, ...]:
-    return tuple(
-        make_entry(name, (ref.path / name).read_bytes()) for name in ref.entries
-    )
 
 
 def evaluate_candidate(
@@ -206,8 +211,9 @@ def evaluate_candidate(
     """Score one candidate in an isolated run seeded from the snapshot.
 
     The run uses its own coverage map; deltas are measured against the
-    snapshot's replayed baseline. Budget is wall-clock seconds by default
-    in campaign use; tests use the deterministic exec-count mode.
+    snapshot's replayed baseline. Campaigns use the deterministic
+    exec-count budget (micro_budget_execs=500 by default); a wall-clock
+    budget is only the `micro` CLI's fallback when no budget is given.
     """
     if budget_execs is None and budget_sec is None:
         raise BudgetZero("no budget given")
@@ -216,7 +222,7 @@ def evaluate_candidate(
     if budget_sec is not None and budget_sec <= 0:
         raise BudgetZero(f"budget_sec must be > 0, got {budget_sec}")
 
-    corpus = list(load_snapshot(snapshot))
+    corpus = list(snapshot.entries)
     if not corpus:
         raise EmptyQueue("snapshot holds no entries")
 
@@ -244,7 +250,6 @@ def evaluate_candidate(
     hits = 0
     misses = 0
     execs = 0
-    corpus_view = tuple(corpus)
     queue_pos = 0
     deadline = time.monotonic() + budget_sec if budget_sec is not None else None
 
@@ -255,7 +260,7 @@ def evaluate_candidate(
             break
         entry = corpus[queue_pos % len(corpus)]
         queue_pos += 1
-        outcome = mutate(compact, entry.data, corpus_view, rng, max_size, seed=entry)
+        outcome = mutate(compact, entry.data, corpus, rng, max_size, seed=entry)
         try:
             result = executor.execute(outcome.output)
         except Exception as exc:
@@ -275,7 +280,6 @@ def evaluate_candidate(
             if not result.crashed:
                 fresh = make_entry(f"{entry.seed_id}+{execs}", outcome.output)
                 corpus.append(fresh)
-                corpus_view = tuple(corpus)
 
     reward = compute_reward(
         delta_edges, delta_paths, delta_crashes, hits, misses, weights, bitmap_available

@@ -78,9 +78,10 @@ class RuleProvider:
                 }
             )
         seeds = blackboard.get("snapshot", {}).get("seeds", [])
+        if intervention in ("seed_focus", "per_seed_recipe") and not seeds:
+            # No seed to scope to: the global default recipe takes the slot.
+            return default_recipe_doc()
         if intervention == "seed_focus":
-            if not seeds:
-                return None
             # Focus the shortest snapshot seed: cheap to mutate densely.
             chosen = min(seeds, key=lambda s: (s["size"], s["seed_id"]))
             return json.dumps(
@@ -97,8 +98,6 @@ class RuleProvider:
                 }
             )
         if intervention == "per_seed_recipe":
-            if not seeds:
-                return None
             # Largest seed: most room for splices and deletions.
             chosen = max(seeds, key=lambda s: (s["size"], s["seed_id"]))
             weights = dict(REFERENCE_WEIGHTS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_RANGE_END = 2**32
 MAX_TOKEN_LEN = 64
@@ -123,9 +123,6 @@ class CompactRecipe:
     protect_ranges: tuple[ByteRange, ...]
     token_arena: bytes
     token_spans: tuple[tuple[int, int], ...]
-    # Opaque per-field overrides: carried for forward compatibility,
-    # never dispatched on.
-    field_overrides: dict[str, str] = field(default_factory=dict)
 
     @property
     def token_count(self) -> int:
@@ -388,9 +385,7 @@ def merge_ranges(ranges: tuple[ByteRange, ...] | list[ByteRange]) -> tuple[ByteR
     return tuple(merged)
 
 
-def lower_recipe(
-    recipe: MutationRecipe, field_overrides: dict[str, str] | None = None
-) -> CompactRecipe:
+def lower_recipe(recipe: MutationRecipe) -> CompactRecipe:
     """Lower a validated recipe to its compact hot-path form.
 
     Weights are normalized here (proposals may arrive unnormalized); the
@@ -430,7 +425,6 @@ def lower_recipe(
         protect_ranges=merge_ranges(recipe.protect_ranges),
         token_arena=arena,
         token_spans=tuple(spans),
-        field_overrides=dict(field_overrides or {}),
     )
 
 

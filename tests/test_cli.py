@@ -84,18 +84,6 @@ class TestMutate:
             assert "op=" in err
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_builtin_alias(self, tmp_path, capsys):
-        inp = tmp_path / "a"
-        inp.write_bytes(b"ab")
-        out_a, out_b = tmp_path / "oa", tmp_path / "ob"
-        for recipe, out in (("reference", out_a), ("listing1", out_b)):
-            code, _, _ = run_cli(
-                capsys, "mutate", "--recipe", recipe, "--input", str(inp),
-                "--seed", "3", "--out", str(out),
-            )
-            assert code == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
     def test_recipe_file(self, tmp_path, capsys, reference_recipe_text):
         recipe_file = tmp_path / "r.json"
         recipe_file.write_text(reference_recipe_text)

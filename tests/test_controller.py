@@ -1,5 +1,6 @@
 """Campaign orchestration: event trail, gate wiring, ablations, artifacts."""
 
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from recipefuzz.controller import (
     Blackboard,
     CampaignConfig,
     ConfigInvalid,
+    _Campaign,
     hash_context,
     hash_response,
     load_events,
@@ -15,9 +17,10 @@ from recipefuzz.controller import (
     run_campaign,
 )
 from recipefuzz.micro import compute_reward, RewardWeights
-from recipefuzz.plateau import TelemetryFrame
-from recipefuzz.providers import DEFAULT_RECIPE_ID, StaticTokenProvider
+from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig, TelemetryFrame
+from recipefuzz.providers import DEFAULT_RECIPE_ID, StaticTokenProvider, default_recipe_doc
 from recipefuzz.stats import parse_run_dir
+from recipefuzz.targets import ExecResult
 
 
 def saturated_config(tmp_path, **overrides):
@@ -207,6 +210,103 @@ class TestStaircasePromotion:
         assert "promotion_skipped" not in kinds
 
 
+class BigramExecutor:
+    """One edge per adjacent byte pair: every new pair is new coverage, so
+    the corpus keeps growing."""
+
+    name = "bigram"
+
+    def execute(self, data):
+        return ExecResult(frozenset(a << 8 | b for a, b in zip(data, data[1:])), False, len(data))
+
+
+def golden_campaigns():
+    """(name, config, executor, seeds) of the golden-artifact campaigns; the
+    output directories are relative, so events.jsonl holds no absolute path."""
+    return (
+        ("parser", CampaignConfig(target="parser", output_dir="parser", budget_execs=3000, rng_seed=42), None, None),
+        (
+            "staircase",
+            CampaignConfig(
+                target="staircase",
+                output_dir="staircase",
+                budget_execs=3000,
+                rng_seed=3,
+                providers=(StaticTokenProvider([b"XKEY1"]),),
+                detector=DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30),
+            ),
+            None,
+            None,
+        ),
+        (
+            "bigram",
+            CampaignConfig(target="bigram", output_dir="bigram", budget_execs=3000, rng_seed=1, map_capacity=1 << 16),
+            BigramExecutor(),
+            (("hello", b"hello world"),),
+        ),
+    )
+
+
+def artifact_sha256(out):
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("fuzzer_stats", "coverage.csv", "events.jsonl")
+    }
+    queue = hashlib.sha256()
+    for path in sorted((out / "queue").iterdir()):
+        queue.update(f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    digests["queue"] = queue.hexdigest()
+    return digests
+
+
+# Recorded before the queue-admission and snapshot refactor; any change in
+# admission order, favored-set membership or rng draws shows up here.
+GOLDEN = {
+    "parser": {
+        "fuzzer_stats": "6450b3b4f9a974b2705f553d4d0aa955f5657bdc65ae4d1a7028034e609b0a9b",
+        "coverage.csv": "9f85255aee84962f2ddb021d3a401df5f92d72ad94c8dd2e7003df34d48c3fd7",
+        "events.jsonl": "e8ecae1d00fe719cf2d64e09048c99f39759a614dff781980e25faa9457d324f",
+        "queue": "161d5b4c9b9d6ae342ea8355d6284065965b20990869ff7a19e93d47b028d613",
+    },
+    "staircase": {
+        "fuzzer_stats": "9120fcc67f124591c94af6e0cc345d34eadd7933df24e4a2487ae05c8317ab61",
+        "coverage.csv": "1081d71cdf311213791676048f0d047007a6c21e504a9956ba4c9fe30f845eb3",
+        "events.jsonl": "cc0c995d10a62c4405e005fdd1ba827b39160da7cd193007491d4fa327aed4ba",
+        "queue": "531437780f62852c9cdcdc88ed32009fd4b1f38ca3a4ffc92abb0192915bf32f",
+    },
+    "bigram": {
+        "fuzzer_stats": "a61284c4ca836229a04ad18d79f22adc1a4ffa2d4a20b472b77ad0f9df2709d7",
+        "coverage.csv": "2960ea5dfb45af18bfc8d061a3ac90f4043ab694a0cb830a118ce3c82ea53612",
+        "events.jsonl": "d39cfe2e81c4dc21e9e1fc31e08d916efc3cd5a39ac41cbba882b4b6d0c1feb6",
+        "queue": "613180bdf5ec919d3cc2d48d775a5da3a996fb0da71232211541bfeee2928650",
+    },
+}
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("name", [c[0] for c in golden_campaigns()])
+    def test_artifacts_match_recorded_digests(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == name)
+        artifacts = run_campaign(config, executor, seeds)
+        assert artifact_sha256(artifacts.output_dir) == GOLDEN[name]
+
+
+class TestAdmission:
+    def test_slots_held_matches_favored_rebuild(self, tmp_path):
+        _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == "bigram")
+        config.output_dir = tmp_path / "run"
+        campaign = _Campaign(config, executor, seeds)
+        campaign.run()
+        # Reference: the favored set rebuilt from scratch out of the slot map.
+        favored_set = {idx for _, idx in campaign.favored.values()}
+        assert len(campaign.slots_held) == len(campaign.queue)
+        assert {i for i, n in enumerate(campaign.slots_held) if n > 0} == favored_set
+        assert sum(campaign.slots_held) == len(campaign.favored)
+        # Shorter finds took slots over, so some entries hold none.
+        assert len(favored_set) < len(campaign.queue)
+
+
 class TestHotPathPurity:
     def test_aborting_provider_without_plateau(self, tmp_path):
         # Budget shorter than the detector window: the detector can never
@@ -365,8 +465,6 @@ class TestArtifacts:
         assert len(parsed) == len(artifacts.events)
 
     def test_run_metadata_digests(self, tmp_path):
-        import hashlib
-
         artifacts = run_campaign(saturated_config(tmp_path))
         meta = json.loads((artifacts.output_dir / "run_metadata.json").read_text())
         for name, digest in meta["artifact_digests"].items():
@@ -469,6 +567,24 @@ class TestProposeCandidates:
         # The slot was still filled by the rule provider.
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.id == "rule_dictionary"
+
+    def test_empty_seed_list_backs_seed_slots_with_default(self):
+        bb = make_blackboard(seeds=())
+        candidates, records = propose_candidates(bb, (), 4)
+        assert len(candidates) == 4
+        for intervention in ("seed_focus", "per_seed_recipe"):
+            record = next(r for r in records if r["intervention"] == intervention)
+            assert record == {
+                "provider": "rule",
+                "intervention": intervention,
+                "schema_valid": True,
+                "fallback_used": False,
+                "recipe_id": DEFAULT_RECIPE_ID,
+                "context_hash": hash_context(bb),
+                "response_hash": hash_response(default_recipe_doc()),
+            }
+            candidate = next(c for c in candidates if c.intervention == intervention)
+            assert candidate.recipe.id == DEFAULT_RECIPE_ID
 
     def test_seed_scoped_selectors(self):
         candidates, _ = propose_candidates(make_blackboard(), (), 4)

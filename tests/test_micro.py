@@ -1,5 +1,6 @@
 """Micro-campaign gate: snapshots, reward, candidate evaluation, winner."""
 
+import hashlib
 import json
 import random
 
@@ -11,13 +12,14 @@ from recipefuzz.micro import (
     EmptyQueue,
     EmptyResults,
     ExecutorFailure,
+    IoFailure,
     MicroResult,
     PromotionDecision,
     RewardWeights,
     compute_reward,
     decide_winner,
     evaluate_candidate,
-    load_snapshot,
+    read_queue,
     snapshot_corpus,
     snapshot_digest,
 )
@@ -106,9 +108,9 @@ class TestComputeReward:
 class TestSnapshot:
     def test_copy_and_manifest(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two"), ("c", b"three")])
-        ref = snapshot_corpus(queue, tmp_path / "snap")
-        assert ref.entries == ("a", "b", "c")
-        for name in ref.entries:
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        assert [e.seed_id for e in ref.entries] == ["a", "b", "c"]
+        for name in ("a", "b", "c"):
             assert (ref.path / name).read_bytes() == (queue / name).read_bytes()
         assert len(ref.manifest) == 3
 
@@ -116,11 +118,11 @@ class TestSnapshot:
         queue = tmp_path / "queue"
         queue.mkdir()
         with pytest.raises(EmptyQueue):
-            snapshot_corpus(queue, tmp_path / "snap")
+            snapshot_corpus(read_queue(queue), tmp_path / "snap")
 
     def test_immutability_after_queue_changes(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two")])
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         digest_before = snapshot_digest(ref)
         (queue / "a").write_bytes(b"MUTATED")
         (queue / "new").write_bytes(b"added later")
@@ -128,10 +130,24 @@ class TestSnapshot:
 
     def test_load_entries(self, tmp_path):
         queue = fill_queue(tmp_path, [("x", b"payload")])
-        ref = snapshot_corpus(queue, tmp_path / "snap")
-        entries = load_snapshot(ref)
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = ref.entries
         assert entries[0].data == b"payload"
         assert entries[0].seed_id == "x"
+
+
+class TestReadQueue:
+    def test_entries_sorted_with_hashes(self, tmp_path):
+        queue = fill_queue(tmp_path, [("b", b"two"), ("a", b"one"), ("c", b"three")])
+        entries = read_queue(queue)
+        assert [e.seed_id for e in entries] == ["a", "b", "c"]
+        assert [e.data for e in entries] == [b"one", b"two", b"three"]
+        for e in entries:
+            assert e.seed_hash == hashlib.sha256(e.data).hexdigest()
+
+    def test_missing_dir(self, tmp_path):
+        with pytest.raises(IoFailure):
+            read_queue(tmp_path / "absent")
 
 
 class TestEvaluateCandidate:
@@ -139,7 +155,7 @@ class TestEvaluateCandidate:
         # The parser seed corpus covers every reachable edge, so a
         # well-formed global candidate earns exactly 0.0.
         queue = fill_queue(tmp_path, PARSER_SEEDS)
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "dictionary", "c0"
         )
@@ -155,7 +171,7 @@ class TestEvaluateCandidate:
 
     def test_gate_token_candidate_discovers(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         target = StaircaseTarget()
         gate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "gate")
         garbage = Candidate(
@@ -175,7 +191,7 @@ class TestEvaluateCandidate:
 
     def test_selector_mismatch_bleeds_misses(self, tmp_path):
         queue = fill_queue(tmp_path, PARSER_SEEDS)
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(
             recipe_with_tokens(
                 ["FUZZ"], selector={"mode": "seed_id", "key": "no-such-seed"}
@@ -191,7 +207,7 @@ class TestEvaluateCandidate:
 
     def test_budget_zero(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"x")])
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(BudgetZero):
             evaluate_candidate(
@@ -202,7 +218,7 @@ class TestEvaluateCandidate:
 
     def test_executor_failure_wrapped(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"xy")])
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
 
         class Broken:
             name = "broken"
@@ -218,7 +234,7 @@ class TestEvaluateCandidate:
 
     def test_deterministic_per_seed(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
         a = evaluate_candidate(
             candidate, ref, StaircaseTarget(), RewardWeights(), 9, budget_execs=300
@@ -230,7 +246,7 @@ class TestEvaluateCandidate:
 
     def test_reward_matches_fields(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(queue, tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
         w = RewardWeights()
         result = evaluate_candidate(

@@ -214,12 +214,6 @@ class TestLower:
         with pytest.raises((DegenerateWeights, SchemaViolation)):
             lower_recipe(recipe)
 
-    def test_field_overrides_carried_opaque(self, reference_recipe_text):
-        compact = lower_recipe(
-            parse_recipe(reference_recipe_text), field_overrides={"k": "v"}
-        )
-        assert compact.field_overrides == {"k": "v"}
-
 
 class TestChooseOperator:
     def test_point_mass(self):
