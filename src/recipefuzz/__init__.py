@@ -24,7 +24,6 @@ from .engine import (  # noqa: F401
     havoc_mutate,
     make_entry,
     mutate,
-    pick_writable_offset,
 )
 from .micro import (  # noqa: F401
     Candidate,

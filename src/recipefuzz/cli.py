@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_micro.add_argument("--seed", type=int, default=0)
     p_micro.add_argument("--budget-execs", type=int, default=None)
     p_micro.add_argument("--budget-sec", type=float, default=None)
-    p_micro.add_argument("--snapshot-dir", default=None, help="where to place the snapshot (default: <queue>-snapshot)")
+    p_micro.add_argument("--snapshot-dir", default=None, help="where to place the snapshot; must not exist (default: <queue>-snapshot, replaced on rerun)")
 
     p_bench = sub.add_parser("microbench", help="mutator dispatch-cost protocol")
     p_bench.add_argument("--config", default="all", choices=engine.BENCH_CONFIGS + ("all",))
@@ -161,8 +162,15 @@ def _cmd_micro(args) -> int:
     candidate = micro.Candidate(
         recipe=recipe, intervention=args.intervention, candidate_id=f"cli_{recipe.id}"
     )
-    snap_dir = args.snapshot_dir or (str(Path(args.queue)) + "-snapshot")
-    snapshot = micro.snapshot_corpus(micro.read_queue(args.queue), snap_dir)
+    entries = micro.read_queue(args.queue)
+    snap_dir = args.snapshot_dir
+    if not snap_dir:
+        # The default directory belongs to this subcommand: a rerun replaces
+        # it, as a campaign rerun replaces its own subdirectories.
+        snap_dir = Path(str(Path(args.queue)) + "-snapshot")
+        if snap_dir.exists():
+            shutil.rmtree(snap_dir)
+    snapshot = micro.snapshot_corpus(entries, snap_dir)
     result = micro.evaluate_candidate(
         candidate,
         snapshot,

@@ -22,7 +22,7 @@ import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import CorpusEntry, havoc_mutate, make_entry, mutate
+from .engine import CorpusEntry, make_entry, mutate
 from .micro import (
     Candidate,
     INTERVENTIONS,
@@ -385,13 +385,9 @@ class _Campaign:
             self._energy = SCHEDULE_ENERGY
         self._energy -= 1
         entry = self._cur_entry
-        if self.active is not None:
-            data = mutate(
-                self.active, entry.data, self.queue, self.rng,
-                self.config.max_size, seed=entry,
-            ).output
-        else:
-            data = havoc_mutate(entry.data, self.rng, self.config.max_size)
+        data = mutate(
+            self.active, entry.data, self.queue, self.rng, self.config.max_size, seed=entry
+        ).output
         result = self.executor.execute(data)
         self.execs_done += 1
         _, new_edges = merge_into(self.bitmap, result)

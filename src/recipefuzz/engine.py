@@ -1,14 +1,14 @@
 """Hot-path mutation engine.
 
-One sampled operator per call, dispatched against an input buffer under the
-active compact recipe: focus ranges bias where the mutator writes, protect
-ranges are never written, tokens come from the recipe's arena. An operator
-that cannot apply (no writable offset, no tokens, empty splice corpus,
-selector mismatch) degrades to a miss: the input is returned unchanged and
-the loop never aborts or resamples.
+`mutate` is the one mutation entry point. With a compact recipe installed it
+applies one sampled operator to the input buffer: focus ranges bias where the
+mutator writes, protect ranges are never written, tokens come from the
+recipe's arena. An operator that cannot apply (no writable offset, no tokens,
+empty splice corpus, selector mismatch) degrades to a miss: the input is
+returned unchanged and the loop never aborts or resamples. With no recipe
+installed it falls through to havoc, one conventional random edit.
 
-Also hosts the havoc fallback used when no recipe is active, and the
-dispatch-cost microbench.
+Also hosts the dispatch-cost microbench.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import random
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .recipe import ByteRange, CompactRecipe, OperatorKind, Selector, choose_operator
 
@@ -46,19 +47,23 @@ def make_entry(seed_id: str, data: bytes, family: str = "default") -> CorpusEntr
     return CorpusEntry(seed_id, hashlib.sha256(data).hexdigest(), data, family)
 
 
-@dataclass(frozen=True)
-class MutationOutcome:
+class MutationOutcome(NamedTuple):
     """Result of one mutation call.
 
-    Exactly one of hit/miss is true: hit means the sampled operator was
-    applied (op_applied says which), miss means the call could not engage
-    and output equals the input.
+    Under a recipe exactly one of hit/miss is true: hit means the sampled
+    operator was applied (op_applied says which), miss means the call could
+    not engage and output equals the input. With no recipe installed the
+    havoc fallthrough is neither a hit nor a miss: there is no recipe to
+    account against.
     """
 
     output: bytes
     op_applied: OperatorKind | None
-    hit: bool
     miss: bool
+
+    @property
+    def hit(self) -> bool:
+        return self.op_applied is not None
 
 
 def selector_matches(selector: Selector, entry: CorpusEntry) -> bool:
@@ -116,19 +121,6 @@ def writable_intervals(
     return out
 
 
-def _pick_offset(intervals: list[tuple[int, int]], rng) -> int | None:
-    total = sum(e - s for s, e in intervals)
-    if total == 0:
-        return None
-    u = rng.randrange(total)
-    for s, e in intervals:
-        size = e - s
-        if u < size:
-            return s + u
-        u -= size
-    raise AssertionError("unreachable")
-
-
 def _pick_run(intervals: list[tuple[int, int]], min_len: int, rng) -> tuple[int, int] | None:
     """Uniformly pick a start offset admitting a writable run of at least
     min_len bytes; returns (start, room) where room is the run length
@@ -148,30 +140,17 @@ def _pick_run(intervals: list[tuple[int, int]], min_len: int, rng) -> tuple[int,
     raise AssertionError("unreachable")
 
 
-def pick_writable_offset(
-    focus: tuple[ByteRange, ...],
-    protect: tuple[ByteRange, ...],
-    input_len: int,
-    rng,
-) -> int | None:
-    """Uniform writable offset, or None when focus/protect leave nothing."""
-    if input_len < 1:
-        raise ValueError("input_len must be >= 1")
-    return _pick_offset(writable_intervals(focus, protect, input_len), rng)
-
-
-def _op_bitflip(compact, data, corpus, rng, max_size):
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
-    off = _pick_offset(iv, rng)
-    if off is None:
+def _op_bitflip(compact, data, iv, corpus, rng, max_size):
+    run = _pick_run(iv, 1, rng)
+    if run is None:
         return None
+    off = run[0]
     out = bytearray(data)
     out[off] ^= 1 << rng.randrange(8)
     return bytes(out)
 
 
-def _op_overwrite_range(compact, data, corpus, rng, max_size):
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
+def _op_overwrite_range(compact, data, iv, corpus, rng, max_size):
     run = _pick_run(iv, 1, rng)
     if run is None:
         return None
@@ -182,22 +161,21 @@ def _op_overwrite_range(compact, data, corpus, rng, max_size):
     return bytes(out)
 
 
-def _op_insert_token(compact, data, corpus, rng, max_size):
+def _op_insert_token(compact, data, iv, corpus, rng, max_size):
     if compact.token_count == 0:
         return None
     tok = compact.token(rng.randrange(compact.token_count))
     if len(data) + len(tok) > max_size:
         return None
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
-    off = _pick_offset(iv, rng)
-    if off is None:
+    run = _pick_run(iv, 1, rng)
+    if run is None:
         return None
+    off = run[0]
     return data[:off] + tok + data[off:]
 
 
-def _op_arith(compact, data, corpus, rng, max_size):
+def _op_arith(compact, data, iv, corpus, rng, max_size):
     width = rng.choice(ARITH_WIDTHS)
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
     run = _pick_run(iv, width, rng)
     if run is None:
         return None
@@ -211,13 +189,12 @@ def _op_arith(compact, data, corpus, rng, max_size):
     return bytes(out)
 
 
-def _op_splice(compact, data, corpus, rng, max_size):
+def _op_splice(compact, data, iv, corpus, rng, max_size):
     if not corpus:
         return None
     donor = corpus[rng.randrange(len(corpus))].data
     if not donor:
         return None
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
     run = _pick_run(iv, 1, rng)
     if run is None:
         return None
@@ -235,10 +212,9 @@ def _op_splice(compact, data, corpus, rng, max_size):
     return data[:start] + donor[src : src + splice_len] + data[start + excise :]
 
 
-def _op_delete_block(compact, data, corpus, rng, max_size):
+def _op_delete_block(compact, data, iv, corpus, rng, max_size):
     if len(data) <= 1:
         return None
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
     run = _pick_run(iv, 1, rng)
     if run is None:
         return None
@@ -248,13 +224,12 @@ def _op_delete_block(compact, data, corpus, rng, max_size):
     return data[:start] + data[start + length :]
 
 
-def _op_dictionary_overwrite(compact, data, corpus, rng, max_size):
+def _op_dictionary_overwrite(compact, data, iv, corpus, rng, max_size):
     if compact.token_count == 0:
         return None
     tok = compact.token(rng.randrange(compact.token_count))
     if len(tok) > len(data):
         return None
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
     run = _pick_run(iv, len(tok), rng)
     if run is None:
         return None
@@ -276,38 +251,42 @@ _OP_TABLE = {
 
 
 def mutate(
-    compact: CompactRecipe,
+    compact: CompactRecipe | None,
     data: bytes,
     corpus: Sequence[CorpusEntry],
     rng,
     max_size: int,
     seed: CorpusEntry | None = None,
 ) -> MutationOutcome:
-    """Apply one recipe-sampled operator to data.
+    """Apply one mutation to data: havoc when compact is None, otherwise
+    one recipe-sampled operator.
 
-    Deterministic given (compact, data, corpus, rng state). When seed is
-    provided, the recipe's selector is checked first and a mismatch is a
-    recorded miss. Output length stays within [1, max_size] for every
-    applied operator.
+    Deterministic given (compact, data, corpus, rng state). When a recipe
+    is installed and seed is provided, the recipe's selector is checked
+    first and a mismatch is a recorded miss. Output length stays within
+    [1, max_size] for every applied operator.
     """
+    if compact is None:
+        return MutationOutcome(havoc_mutate(data, rng, max_size), None, False)
     if len(data) < 1:
         raise ValueError("input must be at least 1 byte")
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if seed is not None and not selector_matches(compact.selector, seed):
-        return MutationOutcome(data, None, False, True)
+        return MutationOutcome(data, None, True)
     op = choose_operator(compact, rng)
-    out = _OP_TABLE[op](compact, data, corpus, rng, max_size)
+    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
+    out = _OP_TABLE[op](compact, data, iv, corpus, rng, max_size)
     if out is None:
-        return MutationOutcome(data, None, False, True)
-    return MutationOutcome(out, op, True, False)
+        return MutationOutcome(data, None, True)
+    return MutationOutcome(out, op, False)
 
 
 def havoc_mutate(data: bytes, rng, max_size: int) -> bytes:
     """Recipe-free fallback: one conventional random byte/bit edit.
 
-    Used by the baseline ablation and by the bench configurations that run
-    without an active recipe.
+    Reached through `mutate` when no recipe is installed; the vanilla bench
+    configuration calls it directly.
     """
     if len(data) < 1:
         raise ValueError("input must be at least 1 byte")
@@ -331,22 +310,6 @@ def havoc_mutate(data: bytes, rng, max_size: int) -> bytes:
         return data
     off = rng.randrange(len(data))
     return data[:off] + rng.randbytes(length) + data[off:]
-
-
-def dispatch_mutation(
-    active: CompactRecipe | None,
-    data: bytes,
-    corpus: tuple[CorpusEntry, ...],
-    rng,
-    max_size: int,
-    seed: CorpusEntry | None = None,
-) -> MutationOutcome:
-    """Full dispatch path: recipe mutation when a recipe is active, havoc
-    fallthrough otherwise. The fallthrough neither hits nor misses the
-    recipe accounting (there is no recipe to account against)."""
-    if active is not None:
-        return mutate(active, data, corpus, rng, max_size, seed)
-    return MutationOutcome(havoc_mutate(data, rng, max_size), None, False, False)
 
 
 @dataclass(frozen=True)
@@ -379,9 +342,10 @@ def bench_dispatch(
 ) -> BenchReport:
     """Time `calls` mutation calls over a fixed corpus.
 
-    Configurations: vanilla applies havoc-equivalent edits through the same
-    call surface; fp-empty runs the full dispatch path with no recipe
-    installed; fp-active dispatches with a populated recipe. Corpus setup
+    Configurations: vanilla calls `havoc_mutate` directly; fp-empty calls
+    `mutate` with no recipe installed, so it times the havoc fallthrough
+    behind the one dispatch path; fp-active calls `mutate` with a populated
+    recipe and the input's corpus entry as seed. Corpus setup
     happens outside the timed region. Wall-clock numbers are hardware- and
     load-relative: the harness refuses to run alongside worker children of
     this process, and results should come from an otherwise idle machine.
@@ -409,13 +373,13 @@ def bench_dispatch(
     elif config == "fp-empty":
         t0 = time.perf_counter_ns()
         for i in range(calls):
-            dispatch_mutation(None, inputs[i % n], corpus, rng, max_size)
+            mutate(None, inputs[i % n], corpus, rng, max_size)
         t1 = time.perf_counter_ns()
     else:
         recipe = active_recipe
         t0 = time.perf_counter_ns()
         for i in range(calls):
-            dispatch_mutation(recipe, inputs[i % n], corpus, rng, max_size, corpus[i % n])
+            mutate(recipe, inputs[i % n], corpus, rng, max_size, corpus[i % n])
         t1 = time.perf_counter_ns()
 
     elapsed = max(t1 - t0, 1)

@@ -109,7 +109,6 @@ class PromotionDecision:
 class SnapshotRef:
     path: Path
     entries: tuple[CorpusEntry, ...]
-    manifest: dict[str, str]
     digest: str
 
 
@@ -170,8 +169,7 @@ def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> Sna
     """
     entries = tuple(sorted(entries, key=lambda e: e.seed_id))
     dest_dir = Path(dest_dir)
-    manifest = {e.seed_id: e.seed_hash for e in entries}
-    manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+    manifest_bytes = json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True).encode()
     try:
         dest_dir.mkdir(parents=True, exist_ok=False)
         for entry in entries:
@@ -182,7 +180,6 @@ def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> Sna
     return SnapshotRef(
         path=dest_dir,
         entries=entries,
-        manifest=manifest,
         digest=hashlib.sha256(manifest_bytes).hexdigest(),
     )
 

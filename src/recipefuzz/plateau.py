@@ -28,21 +28,27 @@ class TelemetryFrame:
     edges_found: int
 
 
+def parse_fuzzer_stats(text: str) -> dict[str, str]:
+    """Parse the `key : value` lines of a fuzzer_stats file."""
+    stats: dict[str, str] = {}
+    for line in text.splitlines():
+        if ":" not in line:
+            continue
+        key, _, value = line.partition(":")
+        stats[key.strip()] = value.strip()
+    return stats
+
+
 def frame_from_fuzzer_stats(stats) -> TelemetryFrame:
     """Build a frame from a fuzzer_stats surface (text or parsed mapping).
 
     Maps run_time to the frame clock and corpus_count to paths_total, so a
     stats file polled at any cadence can feed the detector directly.
     """
-    if isinstance(stats, (str, bytes)):
-        if isinstance(stats, bytes):
-            stats = stats.decode()
-        parsed = {}
-        for line in stats.splitlines():
-            if ":" in line:
-                key, _, value = line.partition(":")
-                parsed[key.strip()] = value.strip()
-        stats = parsed
+    if isinstance(stats, bytes):
+        stats = stats.decode()
+    if isinstance(stats, str):
+        stats = parse_fuzzer_stats(stats)
     return TelemetryFrame(
         t=float(stats["run_time"]),
         execs_done=int(float(stats["execs_done"])),

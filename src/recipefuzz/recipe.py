@@ -136,11 +136,6 @@ class CompactRecipe:
     def tokens(self) -> tuple[bytes, ...]:
         return tuple(self.token(i) for i in range(self.token_count))
 
-    def normalized_weight(self, op: OperatorKind) -> float:
-        i = OPERATOR_ORDER.index(op)
-        prev = self.cumulative_weights[i - 1] if i else 0.0
-        return self.cumulative_weights[i] - prev
-
 
 def encode_token(token: bytes) -> str:
     """Encode token bytes for a recipe document; non-printable, quote and

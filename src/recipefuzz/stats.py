@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import t as t_dist
 
+from .plateau import parse_fuzzer_stats
+
 # Exact enumeration applies up to this smaller-sample size; beyond it (or
 # beyond the arrangement cap) the normal approximation takes over.
 EXACT_MIN_N = 8
@@ -234,16 +236,6 @@ class ModeSummary:
     median_execs_per_sec: float
     median_edges: int
     vs_baseline: StatsSummary | None
-
-
-def parse_fuzzer_stats(text: str) -> dict[str, str]:
-    stats: dict[str, str] = {}
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, _, value = line.partition(":")
-        stats[key.strip()] = value.strip()
-    return stats
 
 
 def load_coverage_series(path: Path) -> list[tuple[float, int]]:

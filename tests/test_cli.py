@@ -155,6 +155,28 @@ class TestMicro:
         assert int(fields["delta_edges"]) >= 4
         assert float(fields["reward"]) > 0
 
+    def micro_rerun(self, capsys, queue, *extra):
+        for name, data in (("a", b"[1, 2]"), ("b", b'{"k": "v"}')):
+            (queue / name).write_bytes(data)
+        argv = ("micro", "--queue", str(queue), "--recipe", "default", "--budget-execs", "200", *extra)
+        return run_cli(capsys, *argv), run_cli(capsys, *argv)
+
+    def test_rerun_replaces_default_snapshot_dir(self, tmp_path, capsys):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        (code1, out1, _), (code2, out2, err2) = self.micro_rerun(capsys, queue)
+        assert (code1, code2) == (0, 0), err2
+        assert out1 == out2
+        assert sorted(p.name for p in (tmp_path / "queue-snapshot").iterdir()) == ["a", "b", "manifest.json"]
+
+    def test_existing_explicit_snapshot_dir_exits_3(self, tmp_path, capsys):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        snap = tmp_path / "snap"
+        (code1, _, _), (code2, _, err2) = self.micro_rerun(capsys, queue, "--snapshot-dir", str(snap))
+        assert (code1, code2) == (0, 3)
+        assert "cannot write snapshot" in err2
+
     def test_empty_queue_exits_5(self, tmp_path, capsys):
         queue = tmp_path / "queue"
         queue.mkdir()

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import recipefuzz.controller as controller_module
 from recipefuzz.controller import (
     Blackboard,
     CampaignConfig,
@@ -19,8 +20,9 @@ from recipefuzz.controller import (
 from recipefuzz.micro import compute_reward, RewardWeights
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig, TelemetryFrame
 from recipefuzz.providers import DEFAULT_RECIPE_ID, StaticTokenProvider, default_recipe_doc
+from recipefuzz.recipe import OperatorKind
 from recipefuzz.stats import parse_run_dir
-from recipefuzz.targets import ExecResult
+from recipefuzz.targets import ExecResult, default_seeds
 
 
 def saturated_config(tmp_path, **overrides):
@@ -222,28 +224,46 @@ class BigramExecutor:
 
 def golden_campaigns():
     """(name, config, executor, seeds) of the golden-artifact campaigns; the
-    output directories are relative, so events.jsonl holds no absolute path."""
+    output directories are relative, so events.jsonl holds no absolute path.
+    The full ablation always has a recipe installed; baseline and
+    no-mutator pin the havoc fallthrough."""
+
+    def parser(name, ablation):
+        config = CampaignConfig(
+            target="parser", output_dir=name, ablation=ablation, budget_execs=3000, rng_seed=42
+        )
+        return name, config, None, None
+
+    def staircase(name, ablation):
+        config = CampaignConfig(
+            target="staircase",
+            output_dir=name,
+            ablation=ablation,
+            budget_execs=3000,
+            rng_seed=3,
+            providers=(StaticTokenProvider([b"XKEY1"]),),
+            detector=DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30),
+        )
+        return name, config, None, None
+
+    def bigram(name, ablation):
+        config = CampaignConfig(
+            target="bigram",
+            output_dir=name,
+            ablation=ablation,
+            budget_execs=3000,
+            rng_seed=1,
+            map_capacity=1 << 16,
+        )
+        return name, config, BigramExecutor(), (("hello", b"hello world"),)
+
     return (
-        ("parser", CampaignConfig(target="parser", output_dir="parser", budget_execs=3000, rng_seed=42), None, None),
-        (
-            "staircase",
-            CampaignConfig(
-                target="staircase",
-                output_dir="staircase",
-                budget_execs=3000,
-                rng_seed=3,
-                providers=(StaticTokenProvider([b"XKEY1"]),),
-                detector=DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30),
-            ),
-            None,
-            None,
-        ),
-        (
-            "bigram",
-            CampaignConfig(target="bigram", output_dir="bigram", budget_execs=3000, rng_seed=1, map_capacity=1 << 16),
-            BigramExecutor(),
-            (("hello", b"hello world"),),
-        ),
+        parser("parser", "full"),
+        staircase("staircase", "full"),
+        bigram("bigram", "full"),
+        parser("parser-baseline", "baseline"),
+        staircase("staircase-no-mutator", "no-mutator"),
+        bigram("bigram-baseline", "baseline"),
     )
 
 
@@ -259,7 +279,8 @@ def artifact_sha256(out):
     return digests
 
 
-# Recorded before the queue-admission and snapshot refactor; any change in
+# Recorded before the queue-admission and snapshot refactor (the baseline
+# and no-mutator cases before havoc moved behind `mutate`); any change in
 # admission order, favored-set membership or rng draws shows up here.
 GOLDEN = {
     "parser": {
@@ -279,6 +300,24 @@ GOLDEN = {
         "coverage.csv": "2960ea5dfb45af18bfc8d061a3ac90f4043ab694a0cb830a118ce3c82ea53612",
         "events.jsonl": "d39cfe2e81c4dc21e9e1fc31e08d916efc3cd5a39ac41cbba882b4b6d0c1feb6",
         "queue": "613180bdf5ec919d3cc2d48d775a5da3a996fb0da71232211541bfeee2928650",
+    },
+    "parser-baseline": {
+        "fuzzer_stats": "6450b3b4f9a974b2705f553d4d0aa955f5657bdc65ae4d1a7028034e609b0a9b",
+        "coverage.csv": "9f85255aee84962f2ddb021d3a401df5f92d72ad94c8dd2e7003df34d48c3fd7",
+        "events.jsonl": "084d273a4dc6b1055e48994c50b3548147fdc1035bc444ae17272d2a770a9fa1",
+        "queue": "161d5b4c9b9d6ae342ea8355d6284065965b20990869ff7a19e93d47b028d613",
+    },
+    "staircase-no-mutator": {
+        "fuzzer_stats": "a29cadbd1f2b69f08288a384686db2e07c49cf1f7ccefc303922d036e79ad889",
+        "coverage.csv": "dcfe2d8e4d9c516fe10e39dfa80f67957768774dcc7aefe893fa24e0459e219a",
+        "events.jsonl": "ace117de06da8d39db068332ad0be2f7311dd84ea892cb6f312050d8a36471a6",
+        "queue": "83b055b81022f7a3d8e5ffe60df64b539933031e7b1c9abbec0ca846e60dde34",
+    },
+    "bigram-baseline": {
+        "fuzzer_stats": "c802ffe4cf37f9a7769af89299a38657cf27f6b3686233f6a91fd9167a884688",
+        "coverage.csv": "1a88feac12496e21b0bccd72da524c9460b4aa4742cfad7f9ca07924b46a2f0d",
+        "events.jsonl": "1bfdd4e3cb159af60666ca198c9288f7f7344b60d2936b42a50714963f2388a4",
+        "queue": "5d4c7b3094bb311c452e53f4a9b8e4cc2aa19947d8cfb31b126da0b5bfc2867a",
     },
 }
 
@@ -323,6 +362,27 @@ class TestHotPathPurity:
         artifacts = run_campaign(config)
         assert kinds_of(artifacts) == ["run_completed"]
         assert artifacts.execs_done > 0
+
+
+class TestMutationSeam:
+    @pytest.mark.parametrize("ablation", ["full", "baseline"])
+    def test_main_loop_mutates_through_controller_mutate(self, ablation, tmp_path, monkeypatch):
+        # campaignbench/child.py times the main loop by wrapping
+        # controller.mutate and tags each call by its outcome's op_applied.
+        real = controller_module.mutate
+        outcomes = []
+
+        def counting(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            outcomes.append(outcome)
+            return outcome
+
+        monkeypatch.setattr(controller_module, "mutate", counting)
+        artifacts = run_campaign(saturated_config(tmp_path, ablation=ablation))
+        assert len(outcomes) == artifacts.execs_done - len(default_seeds("parser"))
+        assert all(o.op_applied is None or o.op_applied in OperatorKind for o in outcomes)
+        applied = sum(o.op_applied is not None for o in outcomes)
+        assert applied > 0 if ablation == "full" else applied == 0
 
 
 class TestBudgetsAndDeterminism:

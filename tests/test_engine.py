@@ -10,12 +10,10 @@ import pytest
 from recipefuzz.engine import (
     ZeroCalls,
     bench_dispatch,
-    dispatch_mutation,
     format_bench_report,
     havoc_mutate,
     make_entry,
     mutate,
-    pick_writable_offset,
     selector_matches,
     writable_intervals,
 )
@@ -52,32 +50,42 @@ CORPUS = (
 )
 
 
+def bitflip_offset(compact, data, rng):
+    """Offset a BitFlip-only recipe wrote, read from the one changed byte;
+    None on a miss."""
+    outcome = mutate(compact, data, CORPUS, rng, 64)
+    if outcome.miss:
+        assert outcome.output == data
+        return None
+    changed = [i for i, (a, b) in enumerate(zip(data, outcome.output)) if a != b]
+    assert len(changed) == 1
+    return changed[0]
+
+
 class TestWritableOffsets:
     def test_singleton_focus(self):
+        compact = compact_from(focus_ranges=[[0, 1]])
         rng = random.Random(0)
         for _ in range(50):
-            off = pick_writable_offset((ByteRange(0, 1),), (), 8, rng)
-            assert off == 0
+            assert bitflip_offset(compact, bytes(8), rng) == 0
 
     def test_fully_protected(self):
+        compact = compact_from(protect_ranges=[[0, 8]])
         rng = random.Random(0)
-        assert pick_writable_offset((), (ByteRange(0, 8),), 8, rng) is None
+        assert bitflip_offset(compact, bytes(8), rng) is None
 
     def test_split_uniformity(self):
+        compact = compact_from(focus_ranges=[[0, 4]], protect_ranges=[[2, 4]])
         rng = random.Random(42)
-        counts = Counter(
-            pick_writable_offset((ByteRange(0, 4),), (ByteRange(2, 4),), 8, rng)
-            for _ in range(10_000)
-        )
+        counts = Counter(bitflip_offset(compact, bytes(8), rng) for _ in range(10_000))
         assert set(counts) == {0, 1}
         assert abs(counts[0] / 10_000 - 0.5) < 0.03
         assert abs(counts[1] / 10_000 - 0.5) < 0.03
 
     def test_focus_clipped_to_input(self):
+        compact = compact_from(focus_ranges=[[4, 100]])
         rng = random.Random(1)
-        offs = {
-            pick_writable_offset((ByteRange(4, 100),), (), 6, rng) for _ in range(200)
-        }
+        offs = {bitflip_offset(compact, bytes(6), rng) for _ in range(200)}
         assert offs == {4, 5}
 
     def test_interval_subtraction(self):
@@ -307,14 +315,22 @@ class TestHavocAndDispatch:
             assert 1 <= len(out) <= 64
 
     def test_dispatch_without_recipe_uses_havoc(self):
-        out = dispatch_mutation(None, b"abcdef", CORPUS, random.Random(3), 64)
+        out = mutate(None, b"abcdef", CORPUS, random.Random(3), 64)
         assert out.op_applied is None
         assert not out.hit and not out.miss
 
     def test_dispatch_with_recipe(self):
         compact = compact_from()
-        out = dispatch_mutation(compact, b"abcdef", CORPUS, random.Random(3), 64)
+        out = mutate(compact, b"abcdef", CORPUS, random.Random(3), 64)
         assert out.hit
+
+    def test_no_recipe_matches_havoc_mutate(self):
+        via_mutate, via_havoc = random.Random(11), random.Random(11)
+        for i in range(2_000):
+            data = CORPUS[i % len(CORPUS)].data
+            out = mutate(None, data, CORPUS, via_mutate, 64, seed=CORPUS[0])
+            assert out.output == havoc_mutate(data, via_havoc, 64)
+            assert via_mutate.getstate() == via_havoc.getstate()
 
 
 class TestBench:

@@ -112,7 +112,9 @@ class TestSnapshot:
         assert [e.seed_id for e in ref.entries] == ["a", "b", "c"]
         for name in ("a", "b", "c"):
             assert (ref.path / name).read_bytes() == (queue / name).read_bytes()
-        assert len(ref.manifest) == 3
+        manifest = json.loads((ref.path / "manifest.json").read_text())
+        assert len(manifest) == 3
+        assert manifest == {e.seed_id: e.seed_hash for e in ref.entries}
 
     def test_empty_queue(self, tmp_path):
         queue = tmp_path / "queue"

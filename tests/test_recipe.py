@@ -186,10 +186,12 @@ class TestLower:
             make_doc(operator_weights={"BitFlip": 1.0, "Arith": 0.5, "Splice": 0.5})
         )
         compact = lower_recipe(recipe)
-        assert compact.normalized_weight(OperatorKind.BitFlip) == pytest.approx(0.5, rel=1e-9)
-        assert compact.normalized_weight(OperatorKind.Arith) == pytest.approx(0.25, rel=1e-9)
-        assert compact.normalized_weight(OperatorKind.Splice) == pytest.approx(0.25, rel=1e-9)
-        assert compact.normalized_weight(OperatorKind.InsertToken) == 0.0
+        cum = (0.0,) + compact.cumulative_weights
+        weight = {op: cum[i + 1] - cum[i] for i, op in enumerate(OPERATOR_ORDER)}
+        assert weight[OperatorKind.BitFlip] == pytest.approx(0.5, rel=1e-9)
+        assert weight[OperatorKind.Arith] == pytest.approx(0.25, rel=1e-9)
+        assert weight[OperatorKind.Splice] == pytest.approx(0.25, rel=1e-9)
+        assert weight[OperatorKind.InsertToken] == 0.0
 
     def test_range_merging(self):
         recipe = parse_recipe(make_doc(focus_ranges=[[5, 20], [0, 10]]))
