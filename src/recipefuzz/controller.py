@@ -25,7 +25,9 @@ from pathlib import Path
 from .engine import CorpusEntry, make_entry, mutate
 from .micro import (
     Candidate,
+    EXECUTOR_ERRORS,
     INTERVENTIONS,
+    ExecutorFailure,
     MicroResult,
     RewardWeights,
     SnapshotRef,
@@ -317,7 +319,6 @@ class _Campaign:
         self.events: list[AuditEvent] = []
         self.coverage: list[tuple[float, int]] = []
 
-        self._events_fh = (self.out / "events.jsonl").open("w")
         self._queue_pos = 0
         self._cur_entry: CorpusEntry | None = None
         self._energy = 0
@@ -336,10 +337,14 @@ class _Campaign:
 
         for i, (name, data) in enumerate(seeds):
             entry = make_entry(f"id_{i:06d}_{name}", data)
-            result = self.executor.execute(entry.data)
+            try:
+                result = self.executor.execute(entry.data)
+            except EXECUTOR_ERRORS as exc:
+                raise ExecutorFailure(f"executor failed on seed {name!r}: {exc}") from exc
             self.execs_done += 1
             merge_into(self.bitmap, result)
             self._admit(entry, result.edges_hit)
+        self._events_fh = (self.out / "events.jsonl").open("w")
 
     # -- queue / coverage plumbing ------------------------------------
 
@@ -388,7 +393,12 @@ class _Campaign:
         data = mutate(
             self.active, entry.data, self.queue, self.rng, self.config.max_size, seed=entry
         ).output
-        result = self.executor.execute(data)
+        try:
+            result = self.executor.execute(data)
+        except EXECUTOR_ERRORS as exc:
+            raise ExecutorFailure(
+                f"executor failed at exec {self.execs_done + 1}: {exc}"
+            ) from exc
         self.execs_done += 1
         _, new_edges = merge_into(self.bitmap, result)
         if result.crashed:
@@ -626,6 +636,9 @@ def run_campaign(
     on every admission, as a record of the corpus. Artifacts:
     fuzzer_stats, coverage.csv, events.jsonl, run_metadata.json plus
     queue/, snapshots/ and recipes/ directories under output_dir.
+
+    An executor that fails on a seed or a main-loop input raises
+    ExecutorFailure (the CLI's exit 4), as in a micro-campaign.
     """
     validate_config(config)
     if executor is None:

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .recipe import ByteRange, CompactRecipe, OperatorKind, Selector, choose_operator
+from .recipe import ByteRange, CompactRecipe, OperatorKind, RunTable, Selector, choose_operator
 
 ARITH_DELTAS = tuple(d for d in range(-35, 36) if d != 0)
 ARITH_WIDTHS = (1, 2, 4)
@@ -121,18 +121,37 @@ def writable_intervals(
     return out
 
 
-def _pick_run(intervals: list[tuple[int, int]], min_len: int, rng) -> tuple[int, int] | None:
+def _run_table(compact: CompactRecipe, input_len: int, min_len: int) -> RunTable:
+    """The writable runs of at least min_len bytes in an input of
+    input_len bytes, as (total, ((start, end, count), ...)): count is the
+    number of start offsets a run admits, total their sum."""
+    runs = tuple(
+        (s, e, e - s - min_len + 1)
+        for s, e in writable_intervals(compact.focus_ranges, compact.protect_ranges, input_len)
+        if e - s >= min_len
+    )
+    return sum(r[2] for r in runs), runs
+
+
+def _pick_run(compact: CompactRecipe, input_len: int, min_len: int, rng) -> tuple[int, int] | None:
     """Uniformly pick a start offset admitting a writable run of at least
     min_len bytes; returns (start, room) where room is the run length
-    available from start within its interval."""
-    total = sum(e - s - min_len + 1 for s, e in intervals if e - s >= min_len)
-    if total <= 0:
+    available from start within its interval.
+
+    The run table is built once per (input_len, min_len) and kept on the
+    recipe; a pick is one rng.randrange(total) and a walk over the runs.
+    min_len is 1, an Arith width (2, 4) or a token length, and input_len
+    stays within max_size, which bounds the number of tables.
+    """
+    key = (input_len, min_len)
+    table = compact.run_tables.get(key)
+    if table is None:
+        table = compact.run_tables[key] = _run_table(compact, input_len, min_len)
+    total, runs = table
+    if total == 0:
         return None
     u = rng.randrange(total)
-    for s, e in intervals:
-        if e - s < min_len:
-            continue
-        count = e - s - min_len + 1
+    for s, e, count in runs:
         if u < count:
             start = s + u
             return start, e - start
@@ -140,8 +159,8 @@ def _pick_run(intervals: list[tuple[int, int]], min_len: int, rng) -> tuple[int,
     raise AssertionError("unreachable")
 
 
-def _op_bitflip(compact, data, iv, corpus, rng, max_size):
-    run = _pick_run(iv, 1, rng)
+def _op_bitflip(compact, data, corpus, rng, max_size):
+    run = _pick_run(compact, len(data), 1, rng)
     if run is None:
         return None
     off = run[0]
@@ -150,8 +169,8 @@ def _op_bitflip(compact, data, iv, corpus, rng, max_size):
     return bytes(out)
 
 
-def _op_overwrite_range(compact, data, iv, corpus, rng, max_size):
-    run = _pick_run(iv, 1, rng)
+def _op_overwrite_range(compact, data, corpus, rng, max_size):
+    run = _pick_run(compact, len(data), 1, rng)
     if run is None:
         return None
     start, room = run
@@ -161,22 +180,22 @@ def _op_overwrite_range(compact, data, iv, corpus, rng, max_size):
     return bytes(out)
 
 
-def _op_insert_token(compact, data, iv, corpus, rng, max_size):
+def _op_insert_token(compact, data, corpus, rng, max_size):
     if compact.token_count == 0:
         return None
     tok = compact.token(rng.randrange(compact.token_count))
     if len(data) + len(tok) > max_size:
         return None
-    run = _pick_run(iv, 1, rng)
+    run = _pick_run(compact, len(data), 1, rng)
     if run is None:
         return None
     off = run[0]
     return data[:off] + tok + data[off:]
 
 
-def _op_arith(compact, data, iv, corpus, rng, max_size):
+def _op_arith(compact, data, corpus, rng, max_size):
     width = rng.choice(ARITH_WIDTHS)
-    run = _pick_run(iv, width, rng)
+    run = _pick_run(compact, len(data), width, rng)
     if run is None:
         return None
     start, _room = run
@@ -189,13 +208,13 @@ def _op_arith(compact, data, iv, corpus, rng, max_size):
     return bytes(out)
 
 
-def _op_splice(compact, data, iv, corpus, rng, max_size):
+def _op_splice(compact, data, corpus, rng, max_size):
     if not corpus:
         return None
     donor = corpus[rng.randrange(len(corpus))].data
     if not donor:
         return None
-    run = _pick_run(iv, 1, rng)
+    run = _pick_run(compact, len(data), 1, rng)
     if run is None:
         return None
     start, room = run
@@ -212,10 +231,10 @@ def _op_splice(compact, data, iv, corpus, rng, max_size):
     return data[:start] + donor[src : src + splice_len] + data[start + excise :]
 
 
-def _op_delete_block(compact, data, iv, corpus, rng, max_size):
+def _op_delete_block(compact, data, corpus, rng, max_size):
     if len(data) <= 1:
         return None
-    run = _pick_run(iv, 1, rng)
+    run = _pick_run(compact, len(data), 1, rng)
     if run is None:
         return None
     start, room = run
@@ -224,13 +243,13 @@ def _op_delete_block(compact, data, iv, corpus, rng, max_size):
     return data[:start] + data[start + length :]
 
 
-def _op_dictionary_overwrite(compact, data, iv, corpus, rng, max_size):
+def _op_dictionary_overwrite(compact, data, corpus, rng, max_size):
     if compact.token_count == 0:
         return None
     tok = compact.token(rng.randrange(compact.token_count))
     if len(tok) > len(data):
         return None
-    run = _pick_run(iv, len(tok), rng)
+    run = _pick_run(compact, len(data), len(tok), rng)
     if run is None:
         return None
     start, _room = run
@@ -275,8 +294,7 @@ def mutate(
     if seed is not None and not selector_matches(compact.selector, seed):
         return MutationOutcome(data, None, True)
     op = choose_operator(compact, rng)
-    iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, len(data))
-    out = _OP_TABLE[op](compact, data, iv, corpus, rng, max_size)
+    out = _OP_TABLE[op](compact, data, corpus, rng, max_size)
     if out is None:
         return MutationOutcome(data, None, True)
     return MutationOutcome(out, op, False)

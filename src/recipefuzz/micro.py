@@ -15,6 +15,10 @@ Calls that applied an operator without discovering anything are neutral.
 A well-formed recipe on a fully saturated corpus therefore scores exactly
 0.0, a recipe that cannot engage scores negative, and a discovering recipe
 scores positive.
+
+The exec budget counts mutation calls. A miss is charged to it without
+running the target: its output is a corpus entry that has already run. So
+MicroResult.execs is the budget spent, not the number of target runs.
 """
 
 from __future__ import annotations
@@ -54,6 +58,16 @@ class BudgetZero(Exception):
 
 class ExecutorFailure(Exception):
     """The execution harness itself failed (distinct from a target crash)."""
+
+
+# What a failing executor raises: I/O errors, the target's own errors on
+# an input, a broken result. Each is re-raised as ExecutorFailure. An
+# exception class of the caller's own that is outside these families (one
+# raised through execute to stop a run early, say) passes through as is.
+EXECUTOR_ERRORS = (
+    OSError, EOFError, ArithmeticError, AssertionError, AttributeError,
+    LookupError, MemoryError, RuntimeError, TypeError, ValueError,
+)
 
 
 class EmptyResults(Exception):
@@ -211,6 +225,11 @@ def evaluate_candidate(
     snapshot's replayed baseline. Campaigns use the deterministic
     exec-count budget (micro_budget_execs=500 by default); a wall-clock
     budget is only the `micro` CLI's fallback when no budget is given.
+
+    Each mutation call spends one exec of the budget. A miss is charged
+    without running the target, since its output is an unchanged corpus
+    entry; result.execs counts mutation calls, and the target runs
+    len(snapshot.entries) + execs - misses times.
     """
     if budget_execs is None and budget_sec is None:
         raise BudgetZero("no budget given")
@@ -235,7 +254,7 @@ def evaluate_candidate(
     for entry in corpus:
         try:
             result = executor.execute(entry.data)
-        except Exception as exc:
+        except EXECUTOR_ERRORS as exc:
             raise ExecutorFailure(f"executor failed on snapshot entry: {exc}") from exc
         merge_into(bitmap, result)
         if result.crashed:
@@ -258,14 +277,17 @@ def evaluate_candidate(
         entry = corpus[queue_pos % len(corpus)]
         queue_pos += 1
         outcome = mutate(compact, entry.data, corpus, rng, max_size, seed=entry)
-        try:
-            result = executor.execute(outcome.output)
-        except Exception as exc:
-            raise ExecutorFailure(f"executor failed during micro run: {exc}") from exc
         execs += 1
         if outcome.miss:
+            # A miss hands back its corpus entry unchanged, and every entry
+            # has run already (in the replay, or when it was found), so the
+            # target is not run again: the miss only spends budget.
             misses += 1
             continue
+        try:
+            result = executor.execute(outcome.output)
+        except EXECUTOR_ERRORS as exc:
+            raise ExecutorFailure(f"executor failed during micro run: {exc}") from exc
         _, new_edges = merge_into(bitmap, result)
         if result.crashed and result.edges_hit not in crash_sigs:
             crash_sigs.add(result.edges_hit)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 MAX_RANGE_END = 2**32
 MAX_TOKEN_LEN = 64
@@ -34,7 +34,14 @@ RECIPE_FIELDS = (
 
 
 class OperatorKind(enum.Enum):
-    """The closed seven-operator mutation vocabulary."""
+    """The closed seven-operator mutation vocabulary.
+
+    Members hash by identity (they are singletons and compare by
+    identity): Enum's own __hash__ is a Python-level call, paid on every
+    engine operator-table lookup.
+    """
+
+    __hash__ = object.__hash__
 
     BitFlip = "BitFlip"
     OverwriteRange = "OverwriteRange"
@@ -57,6 +64,10 @@ OPERATOR_ORDER = (
 )
 
 _TOKEN_OPS = (OperatorKind.InsertToken, OperatorKind.DictionaryOverwrite)
+
+# Writable runs for one (input length, min run length):
+# (total start offsets, ((start, end, count), ...)).
+RunTable = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
 class SchemaViolation(Exception):
@@ -112,7 +123,13 @@ class MutationRecipe:
 
 @dataclass(frozen=True)
 class CompactRecipe:
-    """Lowered hot-path form: cumulative weights, merged ranges, token arena."""
+    """Lowered hot-path form: cumulative weights, merged ranges, token arena.
+
+    run_tables is the engine's cache of writable-run tables, keyed by
+    (input length, min run length). It is derived from the ranges alone,
+    so it takes no part in equality, hashing or repr, and every new
+    instance (dataclasses.replace included) starts with an empty one.
+    """
 
     id: str
     selector: Selector
@@ -123,6 +140,9 @@ class CompactRecipe:
     protect_ranges: tuple[ByteRange, ...]
     token_arena: bytes
     token_spans: tuple[tuple[int, int], ...]
+    run_tables: dict[tuple[int, int], RunTable] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def token_count(self) -> int:

@@ -210,3 +210,23 @@ def build_elf(rodata: bytes, bits: int = 64, little: bool = True,
 def fixture_elf() -> bytes:
     rodata = b"\x00null\x00true\x00ok\x00null\x00%1.15g\x00\x01\x02binary\xffdata\x00"
     return build_elf(rodata)
+
+
+
+class CountingExecutor:
+    """Wraps an executor and counts its execute calls. With fail_at set,
+    call number fail_at (counted from 1, seeds included) raises exc."""
+
+    name = "counting"
+
+    def __init__(self, target, fail_at: int | None = None, exc: Exception | None = None):
+        self.target = target
+        self.fail_at = fail_at
+        self.exc = exc
+        self.calls = 0
+
+    def execute(self, data: bytes):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise self.exc
+        return self.target.execute(data)

@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import recipefuzz.controller as controller_module
 from recipefuzz.cli import main
+from recipefuzz.targets import ParserTarget, default_seeds
 
-from conftest import build_elf, build_fixture_run_tree
+from conftest import CountingExecutor, build_elf, build_fixture_run_tree
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +62,26 @@ class TestRun:
     def test_missing_budget_exits_5(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--out", str(tmp_path / "x"))
         assert code == 5
+
+    @pytest.mark.parametrize(
+        "fail_at, exc",
+        [
+            (1, RuntimeError("harness fault")),
+            (len(default_seeds("parser")) + 5, ValueError("bad input")),
+        ],
+        ids=["seed", "main-loop-value-error"],
+    )
+    def test_executor_failure_exits_4(self, fail_at, exc, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            controller_module,
+            "get_target",
+            lambda name: CountingExecutor(ParserTarget(), fail_at, exc),
+        )
+        code, _, err = run_cli(
+            capsys, "run", "--exec-budget", "500", "--out", str(tmp_path / "x")
+        )
+        assert code == 4
+        assert "executor failure" in err
 
 
 class TestMutate:

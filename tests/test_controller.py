@@ -17,12 +17,14 @@ from recipefuzz.controller import (
     propose_candidates,
     run_campaign,
 )
-from recipefuzz.micro import compute_reward, RewardWeights
+from recipefuzz.micro import ExecutorFailure, compute_reward, RewardWeights
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig, TelemetryFrame
 from recipefuzz.providers import DEFAULT_RECIPE_ID, StaticTokenProvider, default_recipe_doc
 from recipefuzz.recipe import OperatorKind
 from recipefuzz.stats import parse_run_dir
-from recipefuzz.targets import ExecResult, default_seeds
+from recipefuzz.targets import ExecResult, ParserTarget, default_seeds
+
+from conftest import CountingExecutor
 
 
 def saturated_config(tmp_path, **overrides):
@@ -383,6 +385,36 @@ class TestMutationSeam:
         assert all(o.op_applied is None or o.op_applied in OperatorKind for o in outcomes)
         applied = sum(o.op_applied is not None for o in outcomes)
         assert applied > 0 if ablation == "full" else applied == 0
+
+
+class StopRun(Exception):
+    """A caller's own exception, raised through execute to stop a run."""
+
+
+class TestExecutorFailure:
+    SEEDS = len(default_seeds("parser"))
+
+    @pytest.mark.parametrize(
+        "fail_at, exc",
+        [
+            (1, RuntimeError("harness fault")),
+            (SEEDS, OSError("pipe closed")),
+            (SEEDS + 1, ValueError("input exceeds max size")),
+            (SEEDS + 20, RuntimeError("harness fault")),
+        ],
+        ids=["first-seed", "last-seed", "first-loop-exec", "loop"],
+    )
+    def test_failure_raises_executor_failure(self, fail_at, exc, tmp_path):
+        executor = CountingExecutor(ParserTarget(), fail_at, exc)
+        with pytest.raises(ExecutorFailure) as info:
+            run_campaign(saturated_config(tmp_path), executor)
+        assert info.value.__cause__ is exc
+        assert executor.calls == fail_at
+
+    def test_callers_own_exception_passes_through(self, tmp_path):
+        stop = StopRun()
+        with pytest.raises(StopRun):
+            run_campaign(saturated_config(tmp_path), CountingExecutor(ParserTarget(), self.SEEDS + 1, stop))
 
 
 class TestBudgetsAndDeterminism:

@@ -1,6 +1,7 @@
 """Mutation engine: operator semantics, range discipline, determinism,
 hit/miss accounting, and the dispatch bench plumbing."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 from recipefuzz.engine import (
     ZeroCalls,
+    _pick_run,
     bench_dispatch,
     format_bench_report,
     havoc_mutate,
@@ -95,6 +97,94 @@ class TestWritableOffsets:
             50,
         )
         assert iv == [(0, 3), (5, 8), (22, 29)]
+
+
+FOCUS_GRID = ([], [[0, 4]], [[2, 6], [10, 40]])
+PROTECT_GRID = ([], [[0, 2]], [[3, 12]])
+LENGTHS = (1, 3, 5, 8, 17, 64)
+TOKEN = "XKEY1"
+MIN_LENS = (1, 2, 4, len(TOKEN))
+
+
+def cache_grid_recipes():
+    """One recipe per focus/protect pair of the grid, every operator on."""
+    for focus in FOCUS_GRID:
+        for protect in PROTECT_GRID:
+            yield parse_recipe(json.dumps({
+                "id": "t",
+                "selector": {"mode": "mode", "key": "any"},
+                "priority": 1,
+                "ttl_sec": 60,
+                "operator_weights": dict(REFERENCE_WEIGHTS),
+                "focus_ranges": focus,
+                "protect_ranges": protect,
+                "dictionary_tokens": [TOKEN, "ab"],
+            }))
+
+
+def interval_pick(intervals, min_len, rng):
+    """The offset pick over freshly computed intervals, as it was before
+    run tables were cached."""
+    total = sum(e - s - min_len + 1 for s, e in intervals if e - s >= min_len)
+    if total <= 0:
+        return None
+    u = rng.randrange(total)
+    for s, e in intervals:
+        if e - s < min_len:
+            continue
+        count = e - s - min_len + 1
+        if u < count:
+            return s + u, e - (s + u)
+        u -= count
+    raise AssertionError("unreachable")
+
+
+class TestRunTableCache:
+    def test_warmed_recipe_matches_fresh_copy(self):
+        for recipe in cache_grid_recipes():
+            warm = lower_recipe(recipe)
+            warm_rng = random.Random(5)
+            for n in LENGTHS:
+                for _ in range(30):
+                    mutate(warm, bytes(range(n)), CORPUS, warm_rng, 128)
+            for i, n in enumerate(reversed(LENGTHS)):
+                data = bytes(range(100, 100 + n))
+                fresh = lower_recipe(recipe)
+                a, b = random.Random(i), random.Random(i)
+                for _ in range(50):
+                    assert mutate(warm, data, CORPUS, a, 128) == mutate(fresh, data, CORPUS, b, 128)
+                    assert a.getstate() == b.getstate()
+
+    def test_picks_match_interval_walk_and_stay_writable(self):
+        for recipe in cache_grid_recipes():
+            compact = lower_recipe(recipe)
+            for n in LENGTHS:
+                iv = writable_intervals(compact.focus_ranges, compact.protect_ranges, n)
+                for min_len in MIN_LENS:
+                    cached, reference = random.Random(n), random.Random(n)
+                    for _ in range(40):
+                        run = _pick_run(compact, n, min_len, cached)
+                        assert run == interval_pick(iv, min_len, reference)
+                        assert cached.getstate() == reference.getstate()
+                        if run is None:
+                            assert all(e - s < min_len for s, e in iv)
+                            continue
+                        start, room = run
+                        assert any(s <= start and start + room == e for s, e in iv)
+                        assert room >= min_len
+
+    def test_used_recipe_still_equals_fresh_lowering(self):
+        for recipe in cache_grid_recipes():
+            used, untouched = lower_recipe(recipe), lower_recipe(recipe)
+            rng = random.Random(0)
+            for n in LENGTHS:
+                mutate(used, bytes(n), CORPUS, rng, 128)
+            assert used.run_tables and not untouched.run_tables
+            assert used == untouched
+            assert hash(used) == hash(untouched)
+            assert repr(used) == repr(untouched)
+            # A copy with other ranges must not inherit the tables.
+            assert not dataclasses.replace(used, focus_ranges=()).run_tables
 
 
 class TestOperators:

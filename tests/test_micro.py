@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from recipefuzz.engine import make_entry, mutate
 from recipefuzz.micro import (
+    INTERVENTIONS,
     BudgetZero,
     Candidate,
     EmptyQueue,
@@ -23,9 +25,12 @@ from recipefuzz.micro import (
     snapshot_corpus,
     snapshot_digest,
 )
-from recipefuzz.recipe import parse_recipe
-from recipefuzz.targets import ParserTarget, StaircaseTarget
+from recipefuzz.providers import RuleProvider, StaticTokenProvider
+from recipefuzz.recipe import lower_recipe, parse_recipe
+from recipefuzz.targets import EdgeBitmap, ParserTarget, StaircaseTarget, merge_into
 from recipefuzz.targets import PARSER_SEEDS, STAIRCASE_SEEDS
+
+from conftest import CountingExecutor
 
 
 def recipe_with_tokens(tokens, selector=None, recipe_id="cand"):
@@ -263,6 +268,102 @@ class TestEvaluateCandidate:
             w,
             result.bitmap_available,
         )
+
+
+def reference_evaluate(candidate, snapshot, executor, weights, rng_seed, budget_execs):
+    """evaluate_candidate as it was before misses skipped the target: every
+    mutation call runs the target, and a miss's result is thrown away."""
+    corpus = list(snapshot.entries)
+    compact = lower_recipe(candidate.recipe)
+    rng = random.Random(rng_seed)
+    bitmap = EdgeBitmap(capacity=4096)
+    crash_sigs = set()
+    for entry in corpus:
+        result = executor.execute(entry.data)
+        merge_into(bitmap, result)
+        if result.crashed:
+            crash_sigs.add(result.edges_hit)
+    delta_edges = delta_paths = delta_crashes = hits = misses = execs = 0
+    queue_pos = 0
+    while execs < budget_execs:
+        entry = corpus[queue_pos % len(corpus)]
+        queue_pos += 1
+        outcome = mutate(compact, entry.data, corpus, rng, 1024, seed=entry)
+        result = executor.execute(outcome.output)
+        execs += 1
+        if outcome.miss:
+            misses += 1
+            continue
+        _, new_edges = merge_into(bitmap, result)
+        if result.crashed and result.edges_hit not in crash_sigs:
+            crash_sigs.add(result.edges_hit)
+            delta_crashes += 1
+        if new_edges > 0:
+            delta_edges += new_edges
+            delta_paths += 1
+            hits += 1
+            if not result.crashed:
+                corpus.append(make_entry(f"{entry.seed_id}+{execs}", outcome.output))
+    reward = compute_reward(delta_edges, delta_paths, delta_crashes, hits, misses, weights)
+    return MicroResult(
+        candidate.candidate_id, delta_edges, delta_paths, delta_crashes,
+        hits, misses, execs, reward, True,
+    )
+
+
+def proposed_candidates(snapshot):
+    """The four rule-provider interventions and the static-token dictionary
+    recipe, proposed from a blackboard listing the snapshot's seeds."""
+    doc = {
+        "snapshot": {
+            "seeds": [
+                {"seed_id": e.seed_id, "seed_hash": e.seed_hash, "size": len(e.data)}
+                for e in snapshot.entries
+            ]
+        },
+        "static_context": {"available": False, "tokens": []},
+    }
+    texts = [(i, RuleProvider().propose(doc, i)) for i in INTERVENTIONS]
+    texts.append(("dictionary", StaticTokenProvider([b"XKEY1"]).propose(doc, "dictionary")))
+    return [
+        Candidate(parse_recipe(text), intervention, f"c{n}_{intervention}")
+        for n, (intervention, text) in enumerate(texts)
+    ]
+
+
+SNAPSHOT_SEEDS = {
+    "parser": (PARSER_SEEDS, ParserTarget),
+    "staircase": (STAIRCASE_SEEDS, StaircaseTarget),
+}
+
+
+class TestLeanGate:
+    @pytest.mark.parametrize("target_name", sorted(SNAPSHOT_SEEDS))
+    def test_matches_reference_that_runs_every_miss(self, target_name, tmp_path):
+        seeds, target_cls = SNAPSHOT_SEEDS[target_name]
+        ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
+        for i, candidate in enumerate(proposed_candidates(ref)):
+            counting = CountingExecutor(target_cls())
+            lean = evaluate_candidate(
+                candidate, ref, counting, RewardWeights(), 50 + i, budget_execs=500
+            )
+            reference = reference_evaluate(
+                candidate, ref, target_cls(), RewardWeights(), 50 + i, 500
+            )
+            assert lean == reference, candidate.candidate_id
+            assert counting.calls == len(ref.entries) + lean.execs - lean.misses
+
+    def test_cases_include_misses_and_finds(self, tmp_path):
+        # The equivalence above is only worth something if the cases hit
+        # both branches the skip touches.
+        seeds, target_cls = SNAPSHOT_SEEDS["staircase"]
+        ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
+        results = [
+            evaluate_candidate(c, ref, target_cls(), RewardWeights(), 50 + i, budget_execs=500)
+            for i, c in enumerate(proposed_candidates(ref))
+        ]
+        assert any(r.misses > 0 for r in results)
+        assert any(r.hits > 0 for r in results)
 
 
 def mk_result(cid, reward):

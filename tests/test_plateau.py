@@ -172,6 +172,30 @@ class TestStatsSurface:
         )
         assert frame.execs_done == artifacts.execs_done
 
+    @staticmethod
+    def stats_frames(execs_per_sec, seconds=20):
+        """Frames polled once a second from fuzzer_stats text of a run
+        that finds no new path."""
+        return [
+            frame_from_fuzzer_stats(
+                f"run_time          : {t}\n"
+                f"execs_done        : {t * execs_per_sec}\n"
+                "corpus_count      : 21\n"
+                "edges_found       : 49\n"
+            )
+            for t in range(seconds)
+        ]
+
+    def test_exec_clause_gates_polled_stats(self):
+        # Under the campaign's virtual clock a 10 s window holds 40 execs
+        # (frame_execs=4), always below theta_execs=50, so only the path
+        # clause decides. Frames polled from a real fuzzer's stats carry
+        # its exec rate, and there the exec clause holds a plateau back.
+        fast, _ = feed(self.stats_frames(execs_per_sec=1000))
+        slow, _ = feed(self.stats_frames(execs_per_sec=4))
+        assert fast == []
+        assert len(slow) == 1 and slow[0].delta_execs == 40 and slow[0].delta_paths == 0
+
 
 class TestConfigValidation:
     def test_bad_values(self):
