@@ -86,8 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_micro.add_argument("--recipe", required=True)
     p_micro.add_argument("--intervention", default="dictionary", choices=micro.INTERVENTIONS)
     p_micro.add_argument("--seed", type=int, default=0)
-    p_micro.add_argument("--budget-execs", type=int, default=None)
-    p_micro.add_argument("--budget-sec", type=float, default=None)
+    p_micro.add_argument("--budget-execs", type=int, default=500, help="mutation calls to spend")
     p_micro.add_argument("--snapshot-dir", default=None, help="where to place the snapshot; must not exist (default: <queue>-snapshot, replaced on rerun)")
 
     p_bench = sub.add_parser("microbench", help="mutator dispatch-cost protocol")
@@ -113,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    static_tokens = None
+    static_tokens = ()
     if args.dict_file:
         tokens = elfdict.parse_dictionary(Path(args.dict_file).read_text())
         static_tokens = tuple(tokens)
@@ -155,8 +154,6 @@ def _cmd_mutate(args) -> int:
 
 
 def _cmd_micro(args) -> int:
-    if args.budget_execs is None and args.budget_sec is None:
-        args.budget_sec = 20.0
     target = targets.get_target(args.target)
     recipe = _load_recipe(args.recipe)
     candidate = micro.Candidate(
@@ -175,10 +172,9 @@ def _cmd_micro(args) -> int:
         candidate,
         snapshot,
         target,
-        micro.RewardWeights(),
+        controller.REWARD,
         args.seed,
         budget_execs=args.budget_execs,
-        budget_sec=args.budget_sec,
     )
     for key in (
         "candidate_id", "delta_edges", "delta_paths", "delta_crashes",

@@ -27,6 +27,7 @@ from .micro import (
     Candidate,
     EXECUTOR_ERRORS,
     INTERVENTIONS,
+    MAX_SIZE,
     ExecutorFailure,
     MicroResult,
     RewardWeights,
@@ -47,13 +48,15 @@ K_PLATEAU = "plateau_detected"
 K_SNAPSHOT = "corpus_snapshot"
 K_PROPOSAL = "proposal_recorded"
 K_MICRO = "micro_result"
-K_WINNER = "winner_decided"
-K_PROMOTED = "recipe_promoted"
-K_SKIPPED = "promotion_skipped"
 K_COMPLETED = "run_completed"
 
 SCHEDULE_ENERGY = 4
 SKIP_NON_FAVORED = 0.75
+
+# The fixed campaign shape, with micro.MAX_SIZE: executions per telemetry
+# frame (one virtual second) and the gate's reward weights.
+FRAME_EXECS = 4
+REWARD = RewardWeights()
 
 
 class ConfigInvalid(Exception):
@@ -149,14 +152,10 @@ class CampaignConfig:
     budget_execs: int | None = None
     rng_seed: int = 0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    frame_execs: int = 4
     k_cand: int = 4
-    micro_budget_execs: int | None = 500
-    micro_budget_sec: float | None = None
-    reward: RewardWeights = field(default_factory=RewardWeights)
+    micro_budget_execs: int = 500
     providers: tuple = ()
-    static_tokens: tuple[bytes, ...] | None = None
-    max_size: int = 1024
+    static_tokens: tuple[bytes, ...] = ()
     map_capacity: int = DEFAULT_MAP_SIZE
 
     def digest(self) -> str:
@@ -172,20 +171,15 @@ class CampaignConfig:
                 "theta_paths": self.detector.theta_paths,
                 "rearm_policy": self.detector.rearm_policy,
             },
-            "frame_execs": self.frame_execs,
+            "frame_execs": FRAME_EXECS,
             "k_cand": self.k_cand,
             "micro_budget_execs": self.micro_budget_execs,
-            "micro_budget_sec": self.micro_budget_sec,
-            "reward": [
-                self.reward.alpha,
-                self.reward.beta,
-                self.reward.gamma,
-                self.reward.delta_h,
-                self.reward.delta_m,
-            ],
+            # A former setting, kept at null so config digests stay byte-identical.
+            "micro_budget_sec": None,
+            "reward": [REWARD.alpha, REWARD.beta, REWARD.gamma, REWARD.delta_h, REWARD.delta_m],
             "providers": [getattr(p, "name", type(p).__name__) for p in self.providers],
-            "static_tokens": [t.decode("latin-1") for t in self.static_tokens or ()],
-            "max_size": self.max_size,
+            "static_tokens": [t.decode("latin-1") for t in self.static_tokens],
+            "max_size": MAX_SIZE,
             "map_capacity": self.map_capacity,
         }
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -202,8 +196,8 @@ def validate_config(config: CampaignConfig) -> None:
         raise ConfigInvalid("budget_execs must be >= 0")
     if config.k_cand < 1:
         raise ConfigInvalid("k_cand must be >= 1")
-    if config.frame_execs < 1:
-        raise ConfigInvalid("frame_execs must be >= 1")
+    if config.micro_budget_execs < 1:
+        raise ConfigInvalid("micro_budget_execs must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -390,9 +384,7 @@ class _Campaign:
             self._energy = SCHEDULE_ENERGY
         self._energy -= 1
         entry = self._cur_entry
-        data = mutate(
-            self.active, entry.data, self.queue, self.rng, self.config.max_size, seed=entry
-        ).output
+        data = mutate(self.active, entry.data, self.queue, self.rng, MAX_SIZE, seed=entry).output
         try:
             result = self.executor.execute(data)
         except EXECUTOR_ERRORS as exc:
@@ -455,11 +447,9 @@ class _Campaign:
                 candidate,
                 snapshot,
                 self.executor,
-                self.config.reward,
+                REWARD,
                 micro_seed,
                 budget_execs=self.config.micro_budget_execs,
-                budget_sec=self.config.micro_budget_sec,
-                max_size=self.config.max_size,
                 map_capacity=self.config.map_capacity,
             )
             results.append(result)
@@ -526,7 +516,7 @@ class _Campaign:
         )
 
     def _frame(self) -> None:
-        for _ in range(self.config.frame_execs):
+        for _ in range(FRAME_EXECS):
             if (
                 self.config.budget_execs is not None
                 and self.execs_done >= self.config.budget_execs

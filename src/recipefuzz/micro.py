@@ -16,9 +16,11 @@ A well-formed recipe on a fully saturated corpus therefore scores exactly
 0.0, a recipe that cannot engage scores negative, and a discovering recipe
 scores positive.
 
-The exec budget counts mutation calls. A miss is charged to it without
-running the target: its output is a corpus entry that has already run. So
-MicroResult.execs is the budget spent, not the number of target runs.
+A micro-campaign has one budget, an exec count, so a snapshot, recipe and
+seed always give the same result. The budget counts mutation calls. A miss is charged to it
+without running the target: its output is a corpus entry that has already
+run. So MicroResult.execs is the budget spent, not the number of target
+runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,6 +43,9 @@ STATUS_NO_SIGNIFICANCE = "no_significance"
 REASON_NO_SUCCESS = "no_successful_micro_campaign"
 
 SNAPSHOT_MANIFEST = "manifest.json"
+
+# The largest input a campaign's main loop or its gate may produce.
+MAX_SIZE = 1024
 
 
 class EmptyQueue(Exception):
@@ -213,30 +217,23 @@ def evaluate_candidate(
     executor,
     weights: RewardWeights,
     rng_seed: int,
-    budget_execs: int | None = None,
-    budget_sec: float | None = None,
-    max_size: int = 1024,
+    budget_execs: int,
     map_capacity: int = 4096,
-    bitmap_available: bool = True,
 ) -> MicroResult:
     """Score one candidate in an isolated run seeded from the snapshot.
 
     The run uses its own coverage map; deltas are measured against the
-    snapshot's replayed baseline. Campaigns use the deterministic
-    exec-count budget (micro_budget_execs=500 by default); a wall-clock
-    budget is only the `micro` CLI's fallback when no budget is given.
+    snapshot's replayed baseline. The one budget is budget_execs mutation
+    calls (a campaign's micro_budget_execs, 500 by default), so the run is
+    reproducible from rng_seed.
 
     Each mutation call spends one exec of the budget. A miss is charged
     without running the target, since its output is an unchanged corpus
     entry; result.execs counts mutation calls, and the target runs
     len(snapshot.entries) + execs - misses times.
     """
-    if budget_execs is None and budget_sec is None:
-        raise BudgetZero("no budget given")
-    if budget_execs is not None and budget_execs <= 0:
+    if budget_execs <= 0:
         raise BudgetZero(f"budget_execs must be > 0, got {budget_execs}")
-    if budget_sec is not None and budget_sec <= 0:
-        raise BudgetZero(f"budget_sec must be > 0, got {budget_sec}")
 
     corpus = list(snapshot.entries)
     if not corpus:
@@ -265,19 +262,10 @@ def evaluate_candidate(
     delta_crashes = 0
     hits = 0
     misses = 0
-    execs = 0
-    queue_pos = 0
-    deadline = time.monotonic() + budget_sec if budget_sec is not None else None
 
-    while True:
-        if budget_execs is not None and execs >= budget_execs:
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            break
-        entry = corpus[queue_pos % len(corpus)]
-        queue_pos += 1
-        outcome = mutate(compact, entry.data, corpus, rng, max_size, seed=entry)
-        execs += 1
+    for execs in range(1, budget_execs + 1):
+        entry = corpus[(execs - 1) % len(corpus)]
+        outcome = mutate(compact, entry.data, corpus, rng, MAX_SIZE, seed=entry)
         if outcome.miss:
             # A miss hands back its corpus entry unchanged, and every entry
             # has run already (in the replay, or when it was found), so the
@@ -300,9 +288,7 @@ def evaluate_candidate(
                 fresh = make_entry(f"{entry.seed_id}+{execs}", outcome.output)
                 corpus.append(fresh)
 
-    reward = compute_reward(
-        delta_edges, delta_paths, delta_crashes, hits, misses, weights, bitmap_available
-    )
+    reward = compute_reward(delta_edges, delta_paths, delta_crashes, hits, misses, weights)
     return MicroResult(
         candidate_id=candidate.candidate_id,
         delta_edges=delta_edges,
@@ -310,9 +296,9 @@ def evaluate_candidate(
         delta_crashes=delta_crashes,
         hits=hits,
         misses=misses,
-        execs=execs,
+        execs=budget_execs,
         reward=reward,
-        bitmap_available=bitmap_available,
+        bitmap_available=True,
     )
 
 

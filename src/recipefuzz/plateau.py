@@ -8,11 +8,11 @@ armed once per campaign by default; a cooldown-based re-arm variant exists
 but is off by default.
 
 Under the campaign's virtual clock the exec clause never decides: a frame
-covers frame_execs=4 executions, so the default 10 s window spans about
-40 execs, always below theta_execs=50. A campaign's default plateau
-therefore means "no new path in 10 s". The exec clause does gate frames
-polled from a real fuzzer's stats (frame_from_fuzzer_stats), whose exec
-rate is whatever the fuzzer reached.
+covers controller.FRAME_EXECS=4 executions, so the default 10 s window
+spans about 40 execs, always below theta_execs=50. A campaign's default
+plateau therefore means "no new path in 10 s". The exec clause does gate
+frames polled from a real fuzzer's stats (frame_from_fuzzer_stats), whose
+exec rate is whatever the fuzzer reached.
 """
 
 from __future__ import annotations

@@ -63,6 +63,15 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--out", str(tmp_path / "x"))
         assert code == 5
 
+    def test_zero_micro_execs_exits_5_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code, _, err = run_cli(
+            capsys, "run", "--exec-budget", "2000", "--micro-execs", "0", "--out", str(out)
+        )
+        assert code == 5
+        assert "micro_budget_execs" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "fail_at, exc",
         [
@@ -134,6 +143,13 @@ class TestMutate:
         assert code == 3
 
 
+def micro_fields(stdout):
+    return dict(
+        (k.strip(), v.strip())
+        for k, v in (line.split(":", 1) for line in stdout.strip().splitlines())
+    )
+
+
 class TestMicro:
     def test_standalone_gate_run(self, tmp_path, capsys):
         queue = tmp_path / "queue"
@@ -170,10 +186,7 @@ class TestMicro:
             str(tmp_path / "snap"),
         )
         assert code == 0
-        fields = dict(
-            (k.strip(), v.strip())
-            for k, v in (line.split(":", 1) for line in stdout.strip().splitlines())
-        )
+        fields = micro_fields(stdout)
         assert int(fields["delta_edges"]) >= 4
         assert float(fields["reward"]) > 0
 
@@ -182,6 +195,17 @@ class TestMicro:
             (queue / name).write_bytes(data)
         argv = ("micro", "--queue", str(queue), "--recipe", "default", "--budget-execs", "200", *extra)
         return run_cli(capsys, *argv), run_cli(capsys, *argv)
+
+    def test_default_budget_is_500_execs_and_reproducible(self, tmp_path, capsys):
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        for name, data in (("a", b"[1, 2]"), ("b", b'{"k": "v"}')):
+            (queue / name).write_bytes(data)
+        argv = ("micro", "--queue", str(queue), "--recipe", "default", "--seed", "3")
+        (code1, out1, _), (code2, out2, err2) = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert (code1, code2) == (0, 0), err2
+        assert out1 == out2
+        assert micro_fields(out1)["execs"] == "500"
 
     def test_rerun_replaces_default_snapshot_dir(self, tmp_path, capsys):
         queue = tmp_path / "queue"

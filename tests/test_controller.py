@@ -478,6 +478,9 @@ class TestBudgetsAndDeterminism:
             run_campaign(saturated_config(tmp_path, target="mystery"))
         with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, k_cand=0))
+        with pytest.raises(ConfigInvalid):
+            run_campaign(saturated_config(tmp_path, micro_budget_execs=0))
+        assert not (tmp_path / "run").exists()
 
 
 class TestAblations:
@@ -603,6 +606,30 @@ class TestHashing:
         a = make_blackboard()
         b = make_blackboard(recent_stats=(TelemetryFrame(1.0, 11, 2, 5),))
         assert hash_context(a) != hash_context(b)
+
+    # Recorded before the fixed settings became constants: the digest
+    # document, and so every config_digest and context_hash, is unchanged.
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            (
+                dict(target="parser", budget_execs=3000),
+                "dd22958a573b9570a5dfe8186b2ade8227a87b214cd50960443b57de24b811c8",
+            ),
+            (
+                dict(
+                    target="staircase",
+                    budget_sec=5.0,
+                    static_tokens=(b"XKEY1",),
+                    micro_budget_execs=200,
+                ),
+                "c2a1bb395f350420479657fabc31d8cac899ac39dfa38efbbbc5c357c6960838",
+            ),
+        ],
+        ids=["default", "tokens"],
+    )
+    def test_config_digest_pinned(self, overrides, digest, tmp_path):
+        assert CampaignConfig(output_dir=tmp_path, **overrides).digest() == digest
 
     def test_response_hash(self):
         assert hash_response("doc") == hash_response(b"doc")

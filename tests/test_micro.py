@@ -220,8 +220,6 @@ class TestEvaluateCandidate:
             evaluate_candidate(
                 candidate, ref, ParserTarget(), RewardWeights(), 0, budget_execs=0
             )
-        with pytest.raises(BudgetZero):
-            evaluate_candidate(candidate, ref, ParserTarget(), RewardWeights(), 0)
 
     def test_executor_failure_wrapped(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"xy")])

@@ -188,9 +188,10 @@ class TestStatsSurface:
 
     def test_exec_clause_gates_polled_stats(self):
         # Under the campaign's virtual clock a 10 s window holds 40 execs
-        # (frame_execs=4), always below theta_execs=50, so only the path
-        # clause decides. Frames polled from a real fuzzer's stats carry
-        # its exec rate, and there the exec clause holds a plateau back.
+        # (controller.FRAME_EXECS=4), always below theta_execs=50, so only
+        # the path clause decides. Frames polled from a real fuzzer's stats
+        # carry its exec rate, and there the exec clause holds a plateau
+        # back.
         fast, _ = feed(self.stats_frames(execs_per_sec=1000))
         slow, _ = feed(self.stats_frames(execs_per_sec=4))
         assert fast == []
