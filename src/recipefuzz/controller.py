@@ -3,7 +3,10 @@
 Runs the in-process coverage-guided main loop over an executor, feeds the
 plateau detector one telemetry frame per virtual second, and on a plateau
 runs the full intervention pipeline: corpus snapshot, candidate proposals,
-micro-campaign gate, promote-or-skip. Every decision lands in an
+micro-campaign gate, promote-or-skip. The gate judges each distinct
+corpus once: a plateau that finds the corpus the last gated cycle judged
+logs gate_skipped and leaves the active recipe as it is, since a
+re-judge would only redraw the micro seeds. Every decision lands in an
 append-only event log. No proposal provider is reachable from the
 mutation path; providers are consulted exclusively by the plateau
 handler.
@@ -32,6 +35,7 @@ from .micro import (
     MicroResult,
     RewardWeights,
     SnapshotRef,
+    corpus_digest,
     decide_winner,
     evaluate_candidate,
     snapshot_corpus,
@@ -48,6 +52,7 @@ K_PLATEAU = "plateau_detected"
 K_SNAPSHOT = "corpus_snapshot"
 K_PROPOSAL = "proposal_recorded"
 K_MICRO = "micro_result"
+K_GATE_SKIPPED = "gate_skipped"
 K_COMPLETED = "run_completed"
 
 SCHEDULE_ENERGY = 4
@@ -309,6 +314,11 @@ class _Campaign:
         self.cycles_done = 0
         self.last_find = 0.0
         self.plateau_cycles = 0
+        # (cycle, snapshot digest) of the last cycle that ran the gate;
+        # None until a gated arm runs it. The queue only grows, so the
+        # corpus never returns to an earlier digest and this one is the
+        # only one a plateau can match.
+        self.judged: tuple[int, str] | None = None
         self.promotions = 0
         self.events: list[AuditEvent] = []
         self.coverage: list[tuple[float, int]] = []
@@ -402,6 +412,14 @@ class _Campaign:
             self.last_find = self.t + 1.0  # credited to this frame's close
 
     def _handle_plateau(self, event) -> None:
+        """Snapshot the corpus and, on a gated arm, run the gate on it.
+
+        A gated arm whose corpus still has the digest of the last gated
+        cycle's snapshot logs gate_skipped, naming that cycle, and writes
+        no snapshot: re-judging the same corpus would only redraw the
+        micro seeds. The cycle number still advances, so snapshots are
+        numbered by plateau and micro seeds keep their cycle term.
+        """
         self.plateau_cycles += 1
         cycle = self.plateau_cycles
         self._emit(
@@ -413,6 +431,13 @@ class _Campaign:
                 "delta_paths": event.delta_paths,
             },
         )
+        if self.judged is not None:
+            judged_cycle, judged_digest = self.judged
+            if corpus_digest(self.queue) == judged_digest:
+                self._emit(
+                    K_GATE_SKIPPED, {"judged_cycle": judged_cycle, "digest": judged_digest}
+                )
+                return
         snap_dir = self.out / "snapshots" / f"cycle_{cycle:02d}"
         snapshot = snapshot_corpus(self.queue, snap_dir)
         self._emit(
@@ -425,6 +450,7 @@ class _Campaign:
         )
         if not self.gate_on:
             return
+        self.judged = (cycle, snapshot.digest)
 
         blackboard = self._build_blackboard(snapshot, cycle)
         ctx_hash = hash_context(blackboard)
@@ -621,11 +647,16 @@ def run_campaign(
 
     The executor defaults to the built-in target named by the config;
     seeds default to the target's curated corpus. The in-memory queue is
-    the campaign's corpus: the main loop mutates over it and each plateau
-    snapshots it, and nothing reads queue/ back. queue/ is still written
+    the campaign's corpus: the main loop mutates over it and the plateau
+    handler snapshots it, and nothing reads queue/ back. queue/ is still written
     on every admission, as a record of the corpus. Artifacts:
     fuzzer_stats, coverage.csv, events.jsonl, run_metadata.json plus
     queue/, snapshots/ and recipes/ directories under output_dir.
+
+    On a gated arm, a plateau whose corpus is unchanged since the last
+    gated cycle skips the gate: it logs gate_skipped and writes no
+    snapshot, since re-judging that corpus would only redraw the micro
+    seeds. Providers therefore see one blackboard per distinct corpus.
 
     An executor that fails on a seed or a main-loop input raises
     ExecutorFailure (the CLI's exit 4), as in a micro-campaign.

@@ -177,17 +177,29 @@ def read_queue(queue_dir: Path | str) -> tuple[CorpusEntry, ...]:
     return entries
 
 
+def corpus_manifest(entries: Iterable[CorpusEntry]) -> bytes:
+    """The snapshot manifest of these entries: seed_id mapped to
+    seed_hash, as canonical JSON. It is what snapshot_corpus writes, and
+    its sha256 is the snapshot digest. Entry order does not matter."""
+    return json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True).encode()
+
+
+def corpus_digest(entries: Iterable[CorpusEntry]) -> str:
+    """The digest snapshot_corpus gives these entries, computed in memory
+    without writing anything."""
+    return hashlib.sha256(corpus_manifest(entries)).hexdigest()
+
+
 def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> SnapshotRef:
     """Freeze corpus entries into a private snapshot directory.
 
-    Writes every entry byte-for-byte under its seed_id, plus a manifest
-    mapping seed_id to seed_hash (the sha256 of the data). The returned
-    ref carries the entries sorted by seed_id; later corpus changes cannot
-    affect it.
+    Writes every entry byte-for-byte under its seed_id, plus the manifest
+    (corpus_manifest). The returned ref carries the entries sorted by
+    seed_id; later corpus changes cannot affect it.
     """
     entries = tuple(sorted(entries, key=lambda e: e.seed_id))
     dest_dir = Path(dest_dir)
-    manifest_bytes = json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True).encode()
+    manifest_bytes = corpus_manifest(entries)
     try:
         dest_dir.mkdir(parents=True, exist_ok=False)
         for entry in entries:
@@ -204,11 +216,9 @@ def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> Sna
 
 def snapshot_digest(ref: SnapshotRef) -> str:
     """Recompute the snapshot digest from its on-disk content."""
-    manifest = {
-        e.seed_id: hashlib.sha256((ref.path / e.seed_id).read_bytes()).hexdigest()
-        for e in ref.entries
-    }
-    return hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+    return corpus_digest(
+        make_entry(e.seed_id, (ref.path / e.seed_id).read_bytes()) for e in ref.entries
+    )
 
 
 def evaluate_candidate(

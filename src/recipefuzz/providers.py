@@ -7,6 +7,11 @@ the mutation path. The built-in rule provider is deterministic and always
 produces a schema-valid document, so it backs every candidate slot when
 no external provider answers; an external model-backed client is just
 another provider plugged into the same seam.
+
+Providers see one blackboard per distinct corpus: a plateau that finds
+the corpus the gate last judged skips the gate without consulting them.
+On a saturated corpus with a re-arming detector, a model-backed provider
+is therefore asked once, not once per plateau.
 """
 
 from __future__ import annotations

@@ -284,6 +284,8 @@ def artifact_sha256(out):
 # Recorded before the queue-admission and snapshot refactor (the baseline
 # and no-mutator cases before havoc moved behind `mutate`); any change in
 # admission order, favored-set membership or rng draws shows up here.
+# The two re-armed staircase logs were re-recorded when the gate began
+# skipping a corpus it had judged; PROJECTED pins what else they hold.
 GOLDEN = {
     "parser": {
         "fuzzer_stats": "6450b3b4f9a974b2705f553d4d0aa955f5657bdc65ae4d1a7028034e609b0a9b",
@@ -294,7 +296,7 @@ GOLDEN = {
     "staircase": {
         "fuzzer_stats": "9120fcc67f124591c94af6e0cc345d34eadd7933df24e4a2487ae05c8317ab61",
         "coverage.csv": "1081d71cdf311213791676048f0d047007a6c21e504a9956ba4c9fe30f845eb3",
-        "events.jsonl": "cc0c995d10a62c4405e005fdd1ba827b39160da7cd193007491d4fa327aed4ba",
+        "events.jsonl": "d4c59ccc4f95ae0cf0639102577214ff30930c8f0ad1257ceb0c869a34a5fce7",
         "queue": "531437780f62852c9cdcdc88ed32009fd4b1f38ca3a4ffc92abb0192915bf32f",
     },
     "bigram": {
@@ -312,7 +314,7 @@ GOLDEN = {
     "staircase-no-mutator": {
         "fuzzer_stats": "a29cadbd1f2b69f08288a384686db2e07c49cf1f7ccefc303922d036e79ad889",
         "coverage.csv": "dcfe2d8e4d9c516fe10e39dfa80f67957768774dcc7aefe893fa24e0459e219a",
-        "events.jsonl": "ace117de06da8d39db068332ad0be2f7311dd84ea892cb6f312050d8a36471a6",
+        "events.jsonl": "8a68a7bd8cfad2c747dc73fbf21cda1dcbdef79e09374f8fb6bbd6a9f84e08a0",
         "queue": "83b055b81022f7a3d8e5ffe60df64b539933031e7b1c9abbec0ca846e60dde34",
     },
     "bigram-baseline": {
@@ -324,6 +326,45 @@ GOLDEN = {
 }
 
 
+def project_skipped_cycles(text: str) -> str:
+    """An events.jsonl as a gate that judges each corpus once would write
+    it, with nothing logged for a skip.
+
+    gate_skipped lines are dropped. A cycle whose corpus_snapshot digest
+    equals the last snapshot's is cut down to its plateau_detected line.
+    run_completed's promotions count becomes the number of recipe_promoted
+    lines kept. A log in which every snapshot is of a new corpus loses
+    only its gate_skipped lines.
+    """
+    kept, last_digest, cutting = [], None, False
+    for line in text.splitlines(keepends=True):
+        event = json.loads(line)
+        kind = event["kind"]
+        if kind in ("plateau_detected", "run_completed"):
+            cutting = False
+        if kind == "corpus_snapshot":
+            cutting = event["payload"]["digest"] == last_digest
+            last_digest = event["payload"]["digest"]
+        if kind == "gate_skipped" or cutting:
+            continue
+        if kind == "run_completed":
+            promoted = sum(json.loads(k)["kind"] == "recipe_promoted" for k in kept)
+            event["payload"]["promotions"] = promoted
+            line = json.dumps(event, sort_keys=True) + "\n"
+        kept.append(line)
+    return "".join(kept)
+
+
+# project_skipped_cycles of the re-armed golden campaigns' events.jsonl,
+# recorded from the code that re-ran the gate on every plateau. The
+# projection of today's log must match: skipping a judged corpus changes
+# nothing else in the log.
+PROJECTED = {
+    "staircase": "78545aab5e8a741855895f69c853c9b38e846c086850e5ba4bd771da13ed9f91",
+    "staircase-no-mutator": "fafabccba4269811e5f6284c86dfbdf37aff08a97f25c3c839471e6f33d3c5a3",
+}
+
+
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("name", [c[0] for c in golden_campaigns()])
     def test_artifacts_match_recorded_digests(self, name, tmp_path, monkeypatch):
@@ -331,6 +372,121 @@ class TestGoldenArtifacts:
         _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == name)
         artifacts = run_campaign(config, executor, seeds)
         assert artifact_sha256(artifacts.output_dir) == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(PROJECTED))
+    def test_skips_are_the_only_change_to_the_log(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == name)
+        artifacts = run_campaign(config, executor, seeds)
+        text = (artifacts.output_dir / "events.jsonl").read_text()
+        assert "gate_skipped" in text
+        projected = project_skipped_cycles(text)
+        assert projected == "".join(
+            line for line in text.splitlines(keepends=True) if '"gate_skipped"' not in line
+        )
+        assert hashlib.sha256(projected.encode()).hexdigest() == PROJECTED[name]
+
+
+def run_golden(name, out, **overrides):
+    _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == name)
+    config.output_dir = out / name
+    for key, value in overrides.items():
+        setattr(config, key, value)
+    return run_campaign(config, executor, seeds)
+
+
+def events_by_cycle(events):
+    """Cycle number -> its events, from plateau_detected up to the next."""
+    cycles = {}
+    for event in events:
+        if event.kind == "plateau_detected":
+            cycles[len(cycles) + 1] = []
+        if cycles and event.kind != "run_completed":
+            cycles[len(cycles)].append(event)
+    return cycles
+
+
+def snapshot_of(cycle_events):
+    return next((e for e in cycle_events if e.kind == "corpus_snapshot"), None)
+
+
+@pytest.fixture(scope="module")
+def staircase_run(tmp_path_factory):
+    return run_golden("staircase", tmp_path_factory.mktemp("gate_skip"))
+
+
+class TestGateSkip:
+    """The re-armed golden staircase campaign: the gate judges the seed
+    corpus and promotes, judges the corpus the promotion grew, and then
+    skips every later plateau, since the corpus never changes again."""
+
+    def test_skipped_cycle_is_plateau_then_gate_skipped(self, staircase_run):
+        cycles = events_by_cycle(staircase_run.events)
+        skipped = [n for n, evs in cycles.items() if snapshot_of(evs) is None]
+        assert len(skipped) == len(cycles) - 2 > 0
+        for n in skipped:
+            assert [e.kind for e in cycles[n]] == ["plateau_detected", "gate_skipped"]
+
+    def test_judged_cycle_names_its_snapshot(self, staircase_run):
+        cycles = events_by_cycle(staircase_run.events)
+        last_gated, skips = None, 0
+        for n, evs in cycles.items():
+            snapshot = snapshot_of(evs)
+            if snapshot is not None:
+                last_gated = n
+                continue
+            skip = evs[1].payload
+            skips += 1
+            assert skip["judged_cycle"] == last_gated
+            assert snapshot_of(cycles[last_gated]).payload["digest"] == skip["digest"]
+        assert skips > 0
+
+    def test_no_snapshot_for_skipped_cycles(self, staircase_run):
+        cycles = events_by_cycle(staircase_run.events)
+        gated = {f"cycle_{n:02d}" for n, evs in cycles.items() if snapshot_of(evs) is not None}
+        snapshots = staircase_run.output_dir / "snapshots"
+        assert {p.name for p in snapshots.iterdir()} == gated
+        assert len(gated) < len(cycles)
+
+    def test_gate_runs_again_after_promotion_grows_corpus(self, staircase_run):
+        cycles = events_by_cycle(staircase_run.events)
+        promoted = next(
+            n for n, evs in cycles.items() if any(e.kind == "recipe_promoted" for e in evs)
+        )
+        before = snapshot_of(cycles[promoted]).payload
+        after = snapshot_of(cycles[promoted + 1]).payload
+        assert after["entries"] > before["entries"]
+        assert after["digest"] != before["digest"]
+        assert [e.kind for e in cycles[promoted + 1]].count("micro_result") == 4
+
+    def test_controller_only_snapshots_every_plateau(self, tmp_path):
+        artifacts = run_golden("staircase", tmp_path, ablation="controller-only")
+        kinds = kinds_of(artifacts)
+        assert kinds.count("plateau_detected") == kinds.count("corpus_snapshot") > 1
+        assert "gate_skipped" not in kinds
+        snapshots = artifacts.output_dir / "snapshots"
+        assert len(list(snapshots.iterdir())) == kinds.count("plateau_detected")
+
+    def test_snapshot_and_decide_calls_pair(self, tmp_path, monkeypatch):
+        # campaignbench/child.py times a plateau from its snapshot_corpus
+        # call to the next decide_winner return, so a gated arm must make
+        # the two calls equally often.
+        calls = {"snapshot_corpus": 0, "decide_winner": 0}
+
+        def counted(name):
+            real = getattr(controller_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(controller_module, name, wrapper)
+
+        counted("snapshot_corpus")
+        counted("decide_winner")
+        artifacts = run_golden("staircase", tmp_path)
+        assert calls["snapshot_corpus"] == calls["decide_winner"] == 2
+        assert kinds_of(artifacts).count("gate_skipped") > 0
 
 
 class TestAdmission:

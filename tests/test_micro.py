@@ -19,6 +19,8 @@ from recipefuzz.micro import (
     PromotionDecision,
     RewardWeights,
     compute_reward,
+    corpus_digest,
+    corpus_manifest,
     decide_winner,
     evaluate_candidate,
     read_queue,
@@ -27,7 +29,13 @@ from recipefuzz.micro import (
 )
 from recipefuzz.providers import RuleProvider, StaticTokenProvider
 from recipefuzz.recipe import lower_recipe, parse_recipe
-from recipefuzz.targets import EdgeBitmap, ParserTarget, StaircaseTarget, merge_into
+from recipefuzz.targets import (
+    EdgeBitmap,
+    ParserTarget,
+    StaircaseTarget,
+    default_seeds,
+    merge_into,
+)
 from recipefuzz.targets import PARSER_SEEDS, STAIRCASE_SEEDS
 
 from conftest import CountingExecutor
@@ -134,6 +142,16 @@ class TestSnapshot:
         (queue / "a").write_bytes(b"MUTATED")
         (queue / "new").write_bytes(b"added later")
         assert snapshot_digest(ref) == digest_before == ref.digest
+
+    def test_corpus_digest_is_the_snapshot_digest(self, tmp_path):
+        entries = [make_entry(name, data) for name, data in default_seeds("parser")]
+        ref = snapshot_corpus(entries, tmp_path / "snap")
+        assert corpus_digest(entries) == ref.digest == snapshot_digest(ref)
+        assert (ref.path / "manifest.json").read_bytes() == corpus_manifest(entries)
+        shuffled = entries[:]
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != entries
+        assert corpus_digest(shuffled) == corpus_digest(reversed(entries)) == ref.digest
 
     def test_load_entries(self, tmp_path):
         queue = fill_queue(tmp_path, [("x", b"payload")])
