@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .recipe import (  # noqa: F401
     ByteRange,
     CompactRecipe,
-    DegenerateWeights,
     MutationRecipe,
     OperatorKind,
     SchemaViolation,

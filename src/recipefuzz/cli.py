@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 executor failure, 5 validation.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import shutil
 import statistics
@@ -28,28 +27,24 @@ EXIT_IO = 3
 EXIT_EXECUTOR = 4
 EXIT_VALIDATION = 5
 
-# Built-in recipes addressable by name from the CLI.
-BUILTIN_RECIPES = {
-    "default": providers.default_recipe_doc,
-    "reference": lambda: _reference_recipe_doc(),
-}
-
 
 def _reference_recipe_doc() -> str:
     """Structural-token demo recipe: boundary tokens, head/tail focus."""
-    return json.dumps(
-        {
-            "id": "reference_structural",
-            "selector": {"mode": "mode", "key": "any"},
-            "priority": 3,
-            "ttl_sec": 1800,
-            "operator_weights": providers.REFERENCE_WEIGHTS,
-            "focus_ranges": [[0, 1], [42, 64]],
-            "protect_ranges": [[16, 20]],
-            "dictionary_tokens": ["{", "}", "[", "]", "\\x22", "true", "null"],
-            "expected_signal": "exercise object/array nesting boundaries",
-        }
+    return providers.recipe_doc(
+        "reference_structural",
+        "exercise object/array nesting boundaries",
+        priority=3,
+        focus=[(0, 1), (42, 64)],
+        protect=[(16, 20)],
+        tokens=[b"{", b"}", b"[", b"]", b'"', b"true", b"null"],
     )
+
+
+# Built-in recipes addressable by name from the CLI.
+BUILTIN_RECIPES = {
+    "default": providers.default_recipe_doc,
+    "reference": _reference_recipe_doc,
+}
 
 
 def _load_recipe(spec_arg: str):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import shutil
 from dataclasses import dataclass, field
@@ -195,8 +196,10 @@ def validate_config(config: CampaignConfig) -> None:
         raise ConfigInvalid(f"unknown ablation {config.ablation!r}")
     if (config.budget_sec is None) == (config.budget_execs is None):
         raise ConfigInvalid("exactly one of budget_sec / budget_execs required")
-    if config.budget_sec is not None and config.budget_sec < 0:
-        raise ConfigInvalid("budget_sec must be >= 0")
+    if config.budget_sec is not None and not (
+        0 <= config.budget_sec and math.isfinite(config.budget_sec)
+    ):
+        raise ConfigInvalid("budget_sec must be finite and >= 0")
     if config.budget_execs is not None and config.budget_execs < 0:
         raise ConfigInvalid("budget_execs must be >= 0")
     if config.k_cand < 1:
@@ -311,6 +314,12 @@ class _Campaign:
 
         self.t = 0.0
         self.execs_done = 0
+        # The one budget test: each virtual second is one frame of
+        # FRAME_EXECS execs, so a budget in seconds is an exec count too.
+        if config.budget_execs is not None:
+            self.exec_limit = config.budget_execs
+        else:
+            self.exec_limit = len(seeds) + FRAME_EXECS * math.ceil(config.budget_sec)
         self.cycles_done = 0
         self.last_find = 0.0
         self.plateau_cycles = 0
@@ -543,10 +552,7 @@ class _Campaign:
 
     def _frame(self) -> None:
         for _ in range(FRAME_EXECS):
-            if (
-                self.config.budget_execs is not None
-                and self.execs_done >= self.config.budget_execs
-            ):
+            if self.execs_done >= self.exec_limit:
                 break
             self._one_exec()
         self.t += 1.0
@@ -570,12 +576,7 @@ class _Campaign:
     def run(self) -> RunArtifacts:
         try:
             self.coverage.append((0.0, self.bitmap.count))
-            while True:
-                if self.config.budget_execs is not None:
-                    if self.execs_done >= self.config.budget_execs:
-                        break
-                elif self.t >= self.config.budget_sec:
-                    break
+            while self.execs_done < self.exec_limit:
                 self._frame()
             self._emit(
                 K_COMPLETED,

@@ -3,7 +3,7 @@
 `mutate` is the one mutation entry point. With a compact recipe installed it
 applies one sampled operator to the input buffer: focus ranges bias where the
 mutator writes, protect ranges are never written, tokens come from the
-recipe's arena. An operator that cannot apply (no writable offset, no tokens,
+recipe's list. An operator that cannot apply (no writable offset, no tokens,
 empty splice corpus, selector mismatch) degrades to a miss: the input is
 returned unchanged and the loop never aborts or resamples. With no recipe
 installed it falls through to havoc, one conventional random edit.
@@ -100,9 +100,6 @@ def writable_intervals(
         ]
     else:
         base = [(0, input_len)]
-    if not protect:
-        return [iv for iv in base if iv[0] < iv[1]]
-
     out: list[tuple[int, int]] = []
     for start, end in base:
         cur = start
@@ -181,9 +178,10 @@ def _op_overwrite_range(compact, data, corpus, rng, max_size):
 
 
 def _op_insert_token(compact, data, corpus, rng, max_size):
-    if compact.token_count == 0:
+    tokens = compact.tokens
+    if not tokens:
         return None
-    tok = compact.token(rng.randrange(compact.token_count))
+    tok = tokens[rng.randrange(len(tokens))]
     if len(data) + len(tok) > max_size:
         return None
     run = _pick_run(compact, len(data), 1, rng)
@@ -244,9 +242,10 @@ def _op_delete_block(compact, data, corpus, rng, max_size):
 
 
 def _op_dictionary_overwrite(compact, data, corpus, rng, max_size):
-    if compact.token_count == 0:
+    tokens = compact.tokens
+    if not tokens:
         return None
-    tok = compact.token(rng.randrange(compact.token_count))
+    tok = tokens[rng.randrange(len(tokens))]
     if len(tok) > len(data):
         return None
     run = _pick_run(compact, len(data), len(tok), rng)

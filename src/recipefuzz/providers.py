@@ -17,6 +17,7 @@ is therefore asked once, not once per plateau.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 
 from .recipe import encode_token
 
@@ -32,27 +33,56 @@ REFERENCE_WEIGHTS = {
     "DeleteBlock": 0.02,
 }
 
-DEFAULT_TOKENS = ("FUZZ", "MAGIC", "TOKEN")
+DEFAULT_TOKENS = (b"FUZZ", b"MAGIC", b"TOKEN")
 DEFAULT_RECIPE_ID = "rule_default"
 DEFAULT_TTL_SEC = 1800
 FOCUS_HEAD_BYTES = 4096
+# Most extracted tokens a dictionary recipe carries.
+DICTIONARY_TOKENS = 16
+GLOBAL_SELECTOR = ("mode", "any")
+
+
+def recipe_doc(
+    recipe_id: str,
+    expected_signal: str,
+    *,
+    priority: int,
+    selector: tuple[str, str] = GLOBAL_SELECTOR,
+    weights: dict[str, float] = REFERENCE_WEIGHTS,
+    focus: Sequence[tuple[int, int]] = (),
+    protect: Sequence[tuple[int, int]] = (),
+    tokens: Iterable[bytes] = DEFAULT_TOKENS,
+) -> str:
+    """The document of one built-in recipe, keys in RECIPE_FIELDS order.
+
+    selector is a (mode, key) pair, focus and protect are (start, end)
+    pairs, and tokens are bytes, escaped with encode_token. The TTL is
+    DEFAULT_TTL_SEC. Unless given, a recipe applies to every seed, uses
+    the reference weights over the whole buffer and the default tokens.
+    """
+    return json.dumps(
+        {
+            "id": recipe_id,
+            "selector": {"mode": selector[0], "key": selector[1]},
+            "priority": priority,
+            "ttl_sec": DEFAULT_TTL_SEC,
+            "operator_weights": weights,
+            "focus_ranges": [list(r) for r in focus],
+            "protect_ranges": [list(r) for r in protect],
+            "dictionary_tokens": [encode_token(t) for t in tokens],
+            "expected_signal": expected_signal,
+        }
+    )
 
 
 def default_recipe_doc() -> str:
     """The controller's default rule recipe: token insertions and
     overwrites biased to the head of the buffer."""
-    return json.dumps(
-        {
-            "id": DEFAULT_RECIPE_ID,
-            "selector": {"mode": "mode", "key": "any"},
-            "priority": 3,
-            "ttl_sec": DEFAULT_TTL_SEC,
-            "operator_weights": REFERENCE_WEIGHTS,
-            "focus_ranges": [[0, FOCUS_HEAD_BYTES]],
-            "protect_ranges": [],
-            "dictionary_tokens": list(DEFAULT_TOKENS),
-            "expected_signal": "generic token coverage over the buffer head",
-        }
+    return recipe_doc(
+        DEFAULT_RECIPE_ID,
+        "generic token coverage over the buffer head",
+        priority=3,
+        focus=[(0, FOCUS_HEAD_BYTES)],
     )
 
 
@@ -65,22 +95,17 @@ class RuleProvider:
         if intervention == "default":
             return default_recipe_doc()
         if intervention == "dictionary":
-            tokens = list(DEFAULT_TOKENS)
+            tokens = DEFAULT_TOKENS
             ctx = blackboard.get("static_context", {})
             if ctx.get("available") and ctx.get("tokens"):
-                tokens = list(ctx["tokens"])[:16]
-            return json.dumps(
-                {
-                    "id": "rule_dictionary",
-                    "selector": {"mode": "mode", "key": "any"},
-                    "priority": 3,
-                    "ttl_sec": DEFAULT_TTL_SEC,
-                    "operator_weights": REFERENCE_WEIGHTS,
-                    "focus_ranges": [[0, FOCUS_HEAD_BYTES]],
-                    "protect_ranges": [],
-                    "dictionary_tokens": tokens,
-                    "expected_signal": "exercise extracted vocabulary",
-                }
+                # The blackboard carries static tokens as latin-1 text.
+                tokens = [t.encode("latin-1") for t in ctx["tokens"][:DICTIONARY_TOKENS]]
+            return recipe_doc(
+                "rule_dictionary",
+                "exercise extracted vocabulary",
+                priority=3,
+                focus=[(0, FOCUS_HEAD_BYTES)],
+                tokens=tokens,
             )
         seeds = blackboard.get("snapshot", {}).get("seeds", [])
         if intervention in ("seed_focus", "per_seed_recipe") and not seeds:
@@ -89,18 +114,12 @@ class RuleProvider:
         if intervention == "seed_focus":
             # Focus the shortest snapshot seed: cheap to mutate densely.
             chosen = min(seeds, key=lambda s: (s["size"], s["seed_id"]))
-            return json.dumps(
-                {
-                    "id": "rule_seed_focus",
-                    "selector": {"mode": "seed_hash", "key": chosen["seed_hash"]},
-                    "priority": 4,
-                    "ttl_sec": DEFAULT_TTL_SEC,
-                    "operator_weights": REFERENCE_WEIGHTS,
-                    "focus_ranges": [[0, 256]],
-                    "protect_ranges": [],
-                    "dictionary_tokens": list(DEFAULT_TOKENS),
-                    "expected_signal": "dense edits on the shortest seed",
-                }
+            return recipe_doc(
+                "rule_seed_focus",
+                "dense edits on the shortest seed",
+                selector=("seed_hash", chosen["seed_hash"]),
+                priority=4,
+                focus=[(0, 256)],
             )
         if intervention == "per_seed_recipe":
             # Largest seed: most room for splices and deletions.
@@ -110,47 +129,33 @@ class RuleProvider:
             weights["DeleteBlock"] = 0.10
             weights["InsertToken"] = 0.20
             weights["DictionaryOverwrite"] = 0.17
-            return json.dumps(
-                {
-                    "id": "rule_per_seed",
-                    "selector": {"mode": "seed_id", "key": chosen["seed_id"]},
-                    "priority": 2,
-                    "ttl_sec": DEFAULT_TTL_SEC,
-                    "operator_weights": weights,
-                    "focus_ranges": [],
-                    "protect_ranges": [],
-                    "dictionary_tokens": list(DEFAULT_TOKENS),
-                    "expected_signal": "structural edits on the largest seed",
-                }
+            return recipe_doc(
+                "rule_per_seed",
+                "structural edits on the largest seed",
+                selector=("seed_id", chosen["seed_id"]),
+                priority=2,
+                weights=weights,
             )
         return None
 
 
 class StaticTokenProvider:
-    """Proposes dictionary recipes built from an extracted token list."""
+    """Proposes a dictionary recipe built from an extracted token list."""
 
     name = "static-dict"
 
-    def __init__(self, tokens, interventions=("dictionary",), max_tokens: int = 16):
-        self._encoded = [
-            encode_token(t if isinstance(t, bytes) else t.encode("ascii"))
-            for t in list(tokens)[:max_tokens]
+    def __init__(self, tokens):
+        self._tokens = [
+            t if isinstance(t, bytes) else t.encode("ascii")
+            for t in list(tokens)[:DICTIONARY_TOKENS]
         ]
-        self.interventions = tuple(interventions)
 
     def propose(self, blackboard: dict, intervention: str) -> str | None:
-        if intervention not in self.interventions or not self._encoded:
+        if intervention != "dictionary" or not self._tokens:
             return None
-        return json.dumps(
-            {
-                "id": f"static_dict_{intervention}",
-                "selector": {"mode": "mode", "key": "any"},
-                "priority": 4,
-                "ttl_sec": DEFAULT_TTL_SEC,
-                "operator_weights": REFERENCE_WEIGHTS,
-                "focus_ranges": [],
-                "protect_ranges": [],
-                "dictionary_tokens": self._encoded,
-                "expected_signal": "drive comparisons with extracted literals",
-            }
+        return recipe_doc(
+            "static_dict_dictionary",
+            "drive comparisons with extracted literals",
+            priority=4,
+            tokens=self._tokens,
         )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -83,10 +84,6 @@ class SchemaViolation(Exception):
         super().__init__(f"recipe schema violation: {summary}")
 
 
-class DegenerateWeights(Exception):
-    """All operator weights are zero; the recipe cannot drive a mutator."""
-
-
 @dataclass(frozen=True)
 class Selector:
     """Which corpus elements a recipe applies to: a (mode, key) pair."""
@@ -101,9 +98,6 @@ class ByteRange:
 
     start: int
     end: int
-
-    def __contains__(self, offset: int) -> bool:
-        return self.start <= offset < self.end
 
 
 @dataclass(frozen=True)
@@ -123,38 +117,25 @@ class MutationRecipe:
 
 @dataclass(frozen=True)
 class CompactRecipe:
-    """Lowered hot-path form: cumulative weights, merged ranges, token arena.
+    """Lowered hot-path form: what `mutate` and the controller read.
 
-    run_tables is the engine's cache of writable-run tables, keyed by
-    (input length, min run length). It is derived from the ranges alone,
-    so it takes no part in equality, hashing or repr, and every new
-    instance (dataclasses.replace included) starts with an empty one.
+    Cumulative operator weights, merged focus and protect ranges, and the
+    decoded dictionary tokens. run_tables is the engine's cache of
+    writable-run tables, keyed by (input length, min run length). It is
+    derived from the ranges alone, so it takes no part in equality,
+    hashing or repr, and every new instance (dataclasses.replace
+    included) starts with an empty one.
     """
 
     id: str
     selector: Selector
-    priority: int
-    ttl_sec: int
     cumulative_weights: tuple[float, ...]
     focus_ranges: tuple[ByteRange, ...]
     protect_ranges: tuple[ByteRange, ...]
-    token_arena: bytes
-    token_spans: tuple[tuple[int, int], ...]
+    tokens: tuple[bytes, ...]
     run_tables: dict[tuple[int, int], RunTable] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    @property
-    def token_count(self) -> int:
-        return len(self.token_spans)
-
-    def token(self, index: int) -> bytes:
-        off, length = self.token_spans[index]
-        return self.token_arena[off : off + length]
-
-    @property
-    def tokens(self) -> tuple[bytes, ...]:
-        return tuple(self.token(i) for i in range(self.token_count))
 
 
 def encode_token(token: bytes) -> str:
@@ -237,6 +218,9 @@ def validate_recipe(recipe: MutationRecipe) -> list[tuple[str, str]]:
             bad.append((path, "weight must be >= 0"))
         elif weight > 1:
             bad.append((path, "weight must be <= 1"))
+        elif not math.isfinite(weight):
+            # NaN, which passes both comparisons.
+            bad.append((path, "weight must be finite"))
         else:
             total += float(weight)
     if not bad and total <= 0.0:
@@ -412,10 +396,8 @@ def lower_recipe(recipe: MutationRecipe) -> CompactRecipe:
         raise SchemaViolation(bad)
 
     raw = [float(recipe.operator_weights.get(op.value, 0.0)) for op in OPERATOR_ORDER]
+    # validate_recipe guarantees a positive total.
     total = sum(raw)
-    if total <= 0.0:
-        raise DegenerateWeights(f"recipe {recipe.id!r} has no positive operator weight")
-
     cumulative: list[float] = []
     acc = 0.0
     for w in raw:
@@ -423,23 +405,13 @@ def lower_recipe(recipe: MutationRecipe) -> CompactRecipe:
         cumulative.append(acc)
     cumulative[-1] = 1.0
 
-    arena = b"".join(recipe.dictionary_tokens)
-    spans: list[tuple[int, int]] = []
-    off = 0
-    for tok in recipe.dictionary_tokens:
-        spans.append((off, len(tok)))
-        off += len(tok)
-
     return CompactRecipe(
         id=recipe.id,
         selector=recipe.selector,
-        priority=recipe.priority,
-        ttl_sec=recipe.ttl_sec,
         cumulative_weights=tuple(cumulative),
         focus_ranges=merge_ranges(recipe.focus_ranges),
         protect_ranges=merge_ranges(recipe.protect_ranges),
-        token_arena=arena,
-        token_spans=tuple(spans),
+        tokens=recipe.dictionary_tokens,
     )
 
 

@@ -206,8 +206,6 @@ class StatsSummary:
     u: float
     p_two_sided: float
     a12: float
-    ci_lo: float
-    ci_hi: float
 
 
 @dataclass(frozen=True)
@@ -318,8 +316,7 @@ def aggregate(
         if baseline_plateaus is not None and mode != baseline_mode:
             u, p = mann_whitney(baseline_plateaus, plateaus)
             a12 = vargha_delaney_a12(baseline_plateaus, plateaus)
-            ci = bootstrap_median_ci(plateaus, resamples=resamples, seed=seed)
-            vs = StatsSummary(u=u, p_two_sided=p, a12=a12, ci_lo=ci[0], ci_hi=ci[1])
+            vs = StatsSummary(u=u, p_two_sided=p, a12=a12)
         summaries.append(
             ModeSummary(
                 mode=mode,
@@ -366,7 +363,7 @@ def render_summary_report(summaries: list[ModeSummary], baseline_mode: str | Non
             v = s.vs_baseline
             out.append(
                 f"  vs {baseline_mode}: U={v.u:g}  p={v.p_two_sided:.2f}  "
-                f"A12={v.a12:.2f}  CI [{v.ci_lo:g}, {v.ci_hi:g}]"
+                f"A12={v.a12:.2f}  CI [{s.plateau_ci[0]:g}, {s.plateau_ci[1]:g}]"
             )
         out.append("")
     return "\n".join(out)

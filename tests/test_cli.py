@@ -63,6 +63,15 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--out", str(tmp_path / "x"))
         assert code == 5
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_exits_5_before_writing(self, budget, tmp_path, capsys):
+        # Without the check the campaign never reaches its budget.
+        out = tmp_path / "x"
+        code, _, err = run_cli(capsys, "run", "--budget", budget, "--out", str(out))
+        assert code == 5
+        assert "budget_sec must be finite" in err
+        assert not out.exists()
+
     def test_zero_micro_execs_exits_5_before_writing(self, tmp_path, capsys):
         out = tmp_path / "x"
         code, _, err = run_cli(

@@ -17,9 +17,15 @@ from recipefuzz.controller import (
     propose_candidates,
     run_campaign,
 )
-from recipefuzz.micro import ExecutorFailure, compute_reward, RewardWeights
+from recipefuzz.cli import _reference_recipe_doc
+from recipefuzz.micro import INTERVENTIONS, ExecutorFailure, compute_reward, RewardWeights
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig, TelemetryFrame
-from recipefuzz.providers import DEFAULT_RECIPE_ID, StaticTokenProvider, default_recipe_doc
+from recipefuzz.providers import (
+    DEFAULT_RECIPE_ID,
+    RuleProvider,
+    StaticTokenProvider,
+    default_recipe_doc,
+)
 from recipefuzz.recipe import OperatorKind
 from recipefuzz.stats import parse_run_dir
 from recipefuzz.targets import ExecResult, ParserTarget, default_seeds
@@ -582,6 +588,14 @@ class TestBudgetsAndDeterminism:
         for name in ("fuzzer_stats", "coverage.csv", "events.jsonl", "run_metadata.json"):
             assert (artifacts.output_dir / name).is_file()
 
+    def test_second_budget_runs_whole_frames(self, tmp_path):
+        # Each virtual second is one frame: 2.5 s runs three of them.
+        config = saturated_config(tmp_path, budget_execs=None, budget_sec=2.5)
+        artifacts = run_campaign(config)
+        assert artifacts.fuzzer_stats["run_time"] == "3"
+        frames = 3 * controller_module.FRAME_EXECS
+        assert artifacts.execs_done == len(default_seeds("parser")) + frames
+
     def test_identical_runs(self, tmp_path):
         a = run_campaign(saturated_config(tmp_path, output_dir=tmp_path / "a"))
         b = run_campaign(saturated_config(tmp_path, output_dir=tmp_path / "b"))
@@ -636,6 +650,11 @@ class TestBudgetsAndDeterminism:
             run_campaign(saturated_config(tmp_path, k_cand=0))
         with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, micro_budget_execs=0))
+        for budget_sec in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigInvalid):
+                run_campaign(
+                    saturated_config(tmp_path, budget_execs=None, budget_sec=budget_sec)
+                )
         assert not (tmp_path / "run").exists()
 
 
@@ -793,6 +812,42 @@ class TestHashing:
         assert hash_response("doc") != hash_response("doc2")
 
 
+# sha256 of each built-in recipe document, recorded before the documents
+# came from one writer: a change to any byte changes response_hash.
+DOCUMENT_PINS = {
+    "default": "7599bae6e961e81165301c0abc2c35c199543744dd41d82b50ee80cc27dc95c1",
+    "dictionary": "b5422b2ad0ae7546400ca68663f72ef97be20ed1409d5e03d328ac4dd2701f5e",
+    "dictionary-static": "7e9ee2e2ed02943a81f2a85e5d1798c1c2a1d0570203d884e50cd606477d432d",
+    "seed_focus": "372f25b1a9b0d5a2aa94744b2c3f9132998020b0f9bb1ad52ab1490d66830c63",
+    "per_seed_recipe": "12e9432193797b44b4d1f06a3a7d72b90d7e314fa3d21bc22aa84999f6a1aca9",
+    "static-dict": "3816299ebceec3fe5820bba612e138ee0a3b2766027dd26709f796bad1ec6c1c",
+    "reference": "adaf1a9fccff9ee89af12dffc58615e2ec6e23fb98aaf0371313a37fc56ed0f6",
+}
+
+
+class TestBuiltinDocuments:
+    @pytest.mark.parametrize("static", [False, True], ids=["no-static", "static"])
+    @pytest.mark.parametrize("intervention", INTERVENTIONS)
+    def test_rule_provider(self, intervention, static):
+        bb = make_blackboard()
+        if static:
+            bb = make_blackboard(static_context={"available": True, "tokens": ["null", "true"]})
+        text = RuleProvider().propose(bb.to_doc(), intervention)
+        key = "dictionary-static" if static and intervention == "dictionary" else intervention
+        assert hash_response(text) == DOCUMENT_PINS[key]
+
+    def test_default(self):
+        assert hash_response(default_recipe_doc()) == DOCUMENT_PINS["default"]
+
+    def test_static_token_provider(self):
+        text = StaticTokenProvider([b"XKEY1"]).propose({}, "dictionary")
+        assert hash_response(text) == DOCUMENT_PINS["static-dict"]
+        assert StaticTokenProvider([b"XKEY1"]).propose({}, "default") is None
+
+    def test_cli_reference(self):
+        assert hash_response(_reference_recipe_doc()) == DOCUMENT_PINS["reference"]
+
+
 class BadDocProvider:
     name = "bad-doc"
 
@@ -828,6 +883,19 @@ class TestProposeCandidates:
         candidates, _ = propose_candidates(bb, (), 4)
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.dictionary_tokens == (b"null", b"true")
+
+    def test_static_tokens_are_escaped(self):
+        # A quote and a trailing backslash, a byte above 0x7e, and a token
+        # spelled like an escape: each must reach the recipe as given.
+        tokens = (b'say "q"\\x', b"caf\xe9", b"\\x41")
+        bb = make_blackboard(
+            static_context={"available": True, "tokens": [t.decode("latin-1") for t in tokens]}
+        )
+        candidates, records = propose_candidates(bb, (), 4)
+        assert len(candidates) == 4
+        assert all(r["schema_valid"] for r in records)
+        dictionary = next(c for c in candidates if c.intervention == "dictionary")
+        assert dictionary.recipe.dictionary_tokens == tokens
 
     def test_invalid_provider_output_recorded_and_backfilled(self):
         candidates, records = propose_candidates(

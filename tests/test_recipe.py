@@ -8,7 +8,6 @@ import pytest
 
 from recipefuzz.recipe import (
     ByteRange,
-    DegenerateWeights,
     MutationRecipe,
     OperatorKind,
     OPERATOR_ORDER,
@@ -65,6 +64,14 @@ class TestParse:
     def test_weight_above_one(self):
         with pytest.raises(SchemaViolation):
             parse_recipe(make_doc(operator_weights={"BitFlip": 1.5}))
+
+    def test_nan_weight_rejected(self):
+        # json.loads accepts the NaN literal, and NaN fails both bound checks.
+        text = make_doc(operator_weights={"BitFlip": float("nan"), "Arith": 0.5})
+        assert '"BitFlip": NaN' in text
+        with pytest.raises(SchemaViolation) as exc:
+            parse_recipe(text)
+        assert exc.value.violations == [("operator_weights.BitFlip", "weight must be finite")]
 
     def test_unknown_operator(self):
         with pytest.raises(SchemaViolation):
@@ -177,7 +184,7 @@ class TestLower:
             b >= a
             for a, b in zip(compact.cumulative_weights, compact.cumulative_weights[1:])
         )
-        assert compact.token_count == 7
+        assert len(compact.tokens) == 7
         assert compact.tokens == (b"{", b"}", b"[", b"]", b'"', b"true", b"null")
 
     def test_normalization_preserves_relative_weights(self):
@@ -213,7 +220,7 @@ class TestLower:
             ttl_sec=5,
             operator_weights={"BitFlip": 0.0},
         )
-        with pytest.raises((DegenerateWeights, SchemaViolation)):
+        with pytest.raises(SchemaViolation):
             lower_recipe(recipe)
 
 

@@ -242,7 +242,7 @@ class TestAggregate:
         assert full.vs_baseline.u == 8
         assert full.vs_baseline.p_two_sided == pytest.approx(0.42, abs=0.01)
         assert full.vs_baseline.a12 == pytest.approx(0.68)
-        assert (full.vs_baseline.ci_lo, full.vs_baseline.ci_hi) == (238.0, 3226.0)
+        assert full.plateau_ci == (238.0, 3226.0)
         assert full.median_plateau == 1384
         baseline = next(s for s in summaries if s.mode == "baseline")
         assert baseline.median_plateau == 2532
@@ -269,6 +269,8 @@ class TestAggregate:
         assert "U=8" in report
         assert "p=0.42" in report
         assert "A12=0.68" in report
+        # The full arm's CI prints on its plateau line and on its "vs" line.
+        assert report.count("CI [238, 3226]") == 2
 
     def test_parse_run_dir_fields(self, fixture_run_tree):
         row = parse_run_dir(fixture_run_tree / "e1_full_r05")
