@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", required=True, help="output directory for run artifacts")
     p_run.add_argument("--dict", dest="dict_file", default=None, help="dictionary file feeding the blackboard")
     p_run.add_argument("--micro-execs", type=int, default=500, help="micro-campaign budget per candidate")
-    p_run.add_argument("--k-cand", type=int, default=4)
 
     p_mut = sub.add_parser("mutate", help="apply one recipe mutation to a file")
     p_mut.add_argument("--recipe", required=True, help="recipe file or built-in name (default, reference)")
@@ -79,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_micro.add_argument("--target", default="parser")
     p_micro.add_argument("--queue", required=True, help="queue directory to snapshot")
     p_micro.add_argument("--recipe", required=True)
-    p_micro.add_argument("--intervention", default="dictionary", choices=micro.INTERVENTIONS)
     p_micro.add_argument("--seed", type=int, default=0)
     p_micro.add_argument("--budget-execs", type=int, default=500, help="mutation calls to spend")
     p_micro.add_argument("--snapshot-dir", default=None, help="where to place the snapshot; must not exist (default: <queue>-snapshot, replaced on rerun)")
@@ -118,7 +116,6 @@ def _cmd_run(args) -> int:
         budget_sec=args.budget,
         budget_execs=args.exec_budget,
         rng_seed=args.seed,
-        k_cand=args.k_cand,
         micro_budget_execs=args.micro_execs,
         static_tokens=static_tokens,
     )
@@ -152,7 +149,7 @@ def _cmd_micro(args) -> int:
     target = targets.get_target(args.target)
     recipe = _load_recipe(args.recipe)
     candidate = micro.Candidate(
-        recipe=recipe, intervention=args.intervention, candidate_id=f"cli_{recipe.id}"
+        recipe=recipe, intervention="dictionary", candidate_id=f"cli_{recipe.id}"
     )
     entries = micro.read_queue(args.queue)
     snap_dir = args.snapshot_dir
@@ -164,12 +161,7 @@ def _cmd_micro(args) -> int:
             shutil.rmtree(snap_dir)
     snapshot = micro.snapshot_corpus(entries, snap_dir)
     result = micro.evaluate_candidate(
-        candidate,
-        snapshot,
-        target,
-        controller.REWARD,
-        args.seed,
-        budget_execs=args.budget_execs,
+        candidate, snapshot, target, args.seed, budget_execs=args.budget_execs
     )
     for key in (
         "candidate_id", "delta_edges", "delta_paths", "delta_crashes",

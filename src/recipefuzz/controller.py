@@ -32,9 +32,9 @@ from .micro import (
     EXECUTOR_ERRORS,
     INTERVENTIONS,
     MAX_SIZE,
+    REWARD,
     ExecutorFailure,
     MicroResult,
-    RewardWeights,
     SnapshotRef,
     corpus_digest,
     decide_winner,
@@ -59,10 +59,9 @@ K_COMPLETED = "run_completed"
 SCHEDULE_ENERGY = 4
 SKIP_NON_FAVORED = 0.75
 
-# The fixed campaign shape, with micro.MAX_SIZE: executions per telemetry
-# frame (one virtual second) and the gate's reward weights.
+# The fixed campaign shape, with micro.MAX_SIZE and micro.REWARD:
+# executions per telemetry frame (one virtual second).
 FRAME_EXECS = 4
-REWARD = RewardWeights()
 
 
 class ConfigInvalid(Exception):
@@ -104,42 +103,8 @@ def load_events(path: Path | str) -> list[AuditEvent]:
     return events
 
 
-@dataclass(frozen=True)
-class Blackboard:
-    """The proposal layer's only view of campaign state."""
-
-    snapshot_path: str
-    snapshot_digest: str
-    seeds: tuple[dict, ...]
-    recent_stats: tuple[TelemetryFrame, ...]
-    static_context: dict
-    config_digest: str
-    cycle: int
-
-    def to_doc(self) -> dict:
-        return {
-            "snapshot": {
-                "path": self.snapshot_path,
-                "digest": self.snapshot_digest,
-                "seeds": list(self.seeds),
-            },
-            "recent_stats": [
-                {
-                    "t": f.t,
-                    "execs_done": f.execs_done,
-                    "paths_total": f.paths_total,
-                    "edges_found": f.edges_found,
-                }
-                for f in self.recent_stats
-            ],
-            "static_context": self.static_context,
-            "config_digest": self.config_digest,
-            "cycle": self.cycle,
-        }
-
-
-def hash_context(blackboard: Blackboard) -> str:
-    canon = json.dumps(blackboard.to_doc(), sort_keys=True, separators=(",", ":"))
+def hash_context(blackboard: dict) -> str:
+    canon = json.dumps(blackboard, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -158,7 +123,6 @@ class CampaignConfig:
     budget_execs: int | None = None
     rng_seed: int = 0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    k_cand: int = 4
     micro_budget_execs: int = 500
     providers: tuple = ()
     static_tokens: tuple[bytes, ...] = ()
@@ -178,7 +142,8 @@ class CampaignConfig:
                 "rearm_policy": self.detector.rearm_policy,
             },
             "frame_execs": FRAME_EXECS,
-            "k_cand": self.k_cand,
+            # One candidate slot per intervention.
+            "k_cand": len(INTERVENTIONS),
             "micro_budget_execs": self.micro_budget_execs,
             # A former setting, kept at null so config digests stay byte-identical.
             "micro_budget_sec": None,
@@ -202,8 +167,6 @@ def validate_config(config: CampaignConfig) -> None:
         raise ConfigInvalid("budget_sec must be finite and >= 0")
     if config.budget_execs is not None and config.budget_execs < 0:
         raise ConfigInvalid("budget_execs must be >= 0")
-    if config.k_cand < 1:
-        raise ConfigInvalid("k_cand must be >= 1")
     if config.micro_budget_execs < 1:
         raise ConfigInvalid("micro_budget_execs must be >= 1")
 
@@ -225,29 +188,24 @@ class RunArtifacts:
 
 
 def propose_candidates(
-    blackboard: Blackboard,
+    blackboard: dict,
     providers,
-    k: int,
     cycle: int = 1,
 ) -> tuple[list[Candidate], list[dict]]:
-    """Fill k candidate slots, one intervention type per slot.
+    """Fill one candidate slot per intervention type, in INTERVENTIONS order.
 
     Providers are consulted in order per slot; a schema-invalid document is
     dropped and recorded (error_kind=schema_invalid) and the next provider
     gets the slot. The built-in rule provider terminates the chain, so the
     bundle always comes back full.
     """
-    if k < 1:
-        raise ConfigInvalid("k must be >= 1")
-    doc = blackboard.to_doc()
     ctx_hash = hash_context(blackboard)
     chain = list(providers) + [RuleProvider()]
     candidates: list[Candidate] = []
     records: list[dict] = []
-    for i in range(k):
-        intervention = INTERVENTIONS[i % len(INTERVENTIONS)]
+    for i, intervention in enumerate(INTERVENTIONS):
         for provider in chain:
-            text = provider.propose(doc, intervention)
+            text = provider.propose(blackboard, intervention)
             if text is None:
                 continue
             resp_hash = hash_response(text)
@@ -294,6 +252,7 @@ class _Campaign:
 
     def __init__(self, config: CampaignConfig, executor, seeds):
         self.config = config
+        self.config_digest = config.digest()
         self.executor = executor
         self.out = Path(config.output_dir)
         # A rerun into the same directory starts clean: stale queue
@@ -463,9 +422,7 @@ class _Campaign:
 
         blackboard = self._build_blackboard(snapshot, cycle)
         ctx_hash = hash_context(blackboard)
-        candidates, records = propose_candidates(
-            blackboard, self.providers, self.config.k_cand, cycle
-        )
+        candidates, records = propose_candidates(blackboard, self.providers, cycle)
         for record in records:
             payload = {k: v for k, v in record.items() if k not in ("context_hash", "response_hash")}
             self._emit(
@@ -482,7 +439,6 @@ class _Campaign:
                 candidate,
                 snapshot,
                 self.executor,
-                REWARD,
                 micro_seed,
                 budget_execs=self.config.micro_budget_execs,
                 map_capacity=self.config.map_capacity,
@@ -520,8 +476,9 @@ class _Campaign:
                 self.active = lower_recipe(winner.recipe)
                 self.active_expires = self.t + winner.recipe.ttl_sec
 
-    def _build_blackboard(self, snapshot: SnapshotRef, cycle: int) -> Blackboard:
-        seeds = tuple(
+    def _build_blackboard(self, snapshot: SnapshotRef, cycle: int) -> dict:
+        """The proposal layer's only view of campaign state."""
+        seeds = [
             {
                 "seed_id": e.seed_id,
                 "seed_hash": e.seed_hash,
@@ -529,7 +486,7 @@ class _Campaign:
                 "family": e.family,
             }
             for e in snapshot.entries
-        )
+        ]
         if self.config.static_tokens:
             static_context = {
                 "available": True,
@@ -537,18 +494,28 @@ class _Campaign:
             }
         else:
             static_context = {"available": False, "tokens": []}
-        recent = tuple(self.detector_state.frames[-10:])
-        # Run-relative path: identical campaign content must hash the same
-        # no matter where the run directory lives.
-        return Blackboard(
-            snapshot_path=str(snapshot.path.relative_to(self.out)),
-            snapshot_digest=snapshot.digest,
-            seeds=seeds,
-            recent_stats=recent,
-            static_context=static_context,
-            config_digest=self.config.digest(),
-            cycle=cycle,
-        )
+        recent = [
+            {
+                "t": f.t,
+                "execs_done": f.execs_done,
+                "paths_total": f.paths_total,
+                "edges_found": f.edges_found,
+            }
+            for f in self.detector_state.frames[-10:]
+        ]
+        return {
+            "snapshot": {
+                # Run-relative path: identical campaign content must hash
+                # the same no matter where the run directory lives.
+                "path": str(snapshot.path.relative_to(self.out)),
+                "digest": snapshot.digest,
+                "seeds": seeds,
+            },
+            "recent_stats": recent,
+            "static_context": static_context,
+            "config_digest": self.config_digest,
+            "cycle": cycle,
+        }
 
     def _frame(self) -> None:
         for _ in range(FRAME_EXECS):
@@ -624,7 +591,7 @@ class _Campaign:
             "target": self.config.target,
             "executor": getattr(self.executor, "name", type(self.executor).__name__),
             "seed": self.config.rng_seed,
-            "config_digest": self.config.digest(),
+            "config_digest": self.config_digest,
             "active_recipe_id": self.active.id if self.active else None,
             "promotions": self.promotions,
             "artifact_digests": digests,
@@ -647,7 +614,9 @@ def run_campaign(
     """Run one campaign to its budget and write the artifact set.
 
     The executor defaults to the built-in target named by the config;
-    seeds default to the target's curated corpus. The in-memory queue is
+    seeds default to the target's curated corpus. Each seed must be
+    1..MAX_SIZE bytes, the sizes mutate can take and give back; any other
+    raises ConfigInvalid before anything is written. The in-memory queue is
     the campaign's corpus: the main loop mutates over it and the plateau
     handler snapshots it, and nothing reads queue/ back. queue/ is still written
     on every admission, as a record of the corpus. Artifacts:
@@ -677,5 +646,10 @@ def run_campaign(
             ) from None
     if not seeds:
         raise ConfigInvalid("seed corpus must be non-empty")
+    for name, data in seeds:
+        if not 1 <= len(data) <= MAX_SIZE:
+            raise ConfigInvalid(
+                f"seed {name!r} is {len(data)} bytes; seeds must be 1..{MAX_SIZE} bytes"
+            )
     campaign = _Campaign(config, executor, seeds)
     return campaign.run()

@@ -14,7 +14,6 @@ Also hosts the dispatch-cost microbench.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import random
 import time
 from collections.abc import Sequence
@@ -373,6 +372,8 @@ def bench_dispatch(
         raise ValueError(f"unknown bench config {config!r}")
     if not corpus:
         raise ValueError("bench corpus must be non-empty")
+    import multiprocessing  # only this guard needs it; campaigns never load it
+
     if multiprocessing.active_children():
         raise RuntimeError("bench requires single-process execution")
     if config == "fp-active" and active_recipe is None:

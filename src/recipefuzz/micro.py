@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .engine import CorpusEntry, make_entry, mutate
 from .recipe import MutationRecipe, lower_recipe
-from .targets import EdgeBitmap, merge_into
+from .targets import DEFAULT_MAP_SIZE, EdgeBitmap, merge_into
 
 INTERVENTIONS = ("default", "dictionary", "seed_focus", "per_seed_recipe")
 
@@ -101,6 +101,10 @@ class RewardWeights:
         for name in ("alpha", "beta", "gamma", "delta_h", "delta_m"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+
+
+# The gate's one set of reward weights, as fixed as MAX_SIZE.
+REWARD = RewardWeights()
 
 
 @dataclass(frozen=True)
@@ -225,17 +229,16 @@ def evaluate_candidate(
     candidate: Candidate,
     snapshot: SnapshotRef,
     executor,
-    weights: RewardWeights,
     rng_seed: int,
     budget_execs: int,
-    map_capacity: int = 4096,
+    map_capacity: int = DEFAULT_MAP_SIZE,
 ) -> MicroResult:
     """Score one candidate in an isolated run seeded from the snapshot.
 
     The run uses its own coverage map; deltas are measured against the
     snapshot's replayed baseline. The one budget is budget_execs mutation
     calls (a campaign's micro_budget_execs, 500 by default), so the run is
-    reproducible from rng_seed.
+    reproducible from rng_seed. The reward is weighted by REWARD.
 
     Each mutation call spends one exec of the budget. A miss is charged
     without running the target, since its output is an unchanged corpus
@@ -298,7 +301,7 @@ def evaluate_candidate(
                 fresh = make_entry(f"{entry.seed_id}+{execs}", outcome.output)
                 corpus.append(fresh)
 
-    reward = compute_reward(delta_edges, delta_paths, delta_crashes, hits, misses, weights)
+    reward = compute_reward(delta_edges, delta_paths, delta_crashes, hits, misses, REWARD)
     return MicroResult(
         candidate_id=candidate.candidate_id,
         delta_edges=delta_edges,

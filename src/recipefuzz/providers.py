@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Sequence
 
-from .recipe import encode_token
+from .recipe import MAX_TOKEN_LEN, encode_token
 
 # Reference operator-weight distribution used by the built-in recipes:
 # token-heavy, with light structural edits.
@@ -40,6 +40,12 @@ FOCUS_HEAD_BYTES = 4096
 # Most extracted tokens a dictionary recipe carries.
 DICTIONARY_TOKENS = 16
 GLOBAL_SELECTOR = ("mode", "any")
+
+
+def usable_tokens(tokens: Iterable[bytes]) -> list[bytes]:
+    """The first DICTIONARY_TOKENS tokens a recipe can carry (1 to
+    MAX_TOKEN_LEN bytes); any other token is skipped."""
+    return [t for t in tokens if 1 <= len(t) <= MAX_TOKEN_LEN][:DICTIONARY_TOKENS]
 
 
 def recipe_doc(
@@ -95,17 +101,17 @@ class RuleProvider:
         if intervention == "default":
             return default_recipe_doc()
         if intervention == "dictionary":
-            tokens = DEFAULT_TOKENS
             ctx = blackboard.get("static_context", {})
-            if ctx.get("available") and ctx.get("tokens"):
+            tokens = []
+            if ctx.get("available"):
                 # The blackboard carries static tokens as latin-1 text.
-                tokens = [t.encode("latin-1") for t in ctx["tokens"][:DICTIONARY_TOKENS]]
+                tokens = usable_tokens(t.encode("latin-1") for t in ctx.get("tokens", ()))
             return recipe_doc(
                 "rule_dictionary",
                 "exercise extracted vocabulary",
                 priority=3,
                 focus=[(0, FOCUS_HEAD_BYTES)],
-                tokens=tokens,
+                tokens=tokens or DEFAULT_TOKENS,
             )
         seeds = blackboard.get("snapshot", {}).get("seeds", [])
         if intervention in ("seed_focus", "per_seed_recipe") and not seeds:
@@ -145,10 +151,10 @@ class StaticTokenProvider:
     name = "static-dict"
 
     def __init__(self, tokens):
-        self._tokens = [
-            t if isinstance(t, bytes) else t.encode("ascii")
-            for t in list(tokens)[:DICTIONARY_TOKENS]
-        ]
+        # With no usable token the provider passes on every slot.
+        self._tokens = usable_tokens(
+            t if isinstance(t, bytes) else t.encode("ascii") for t in tokens
+        )
 
     def propose(self, blackboard: dict, intervention: str) -> str | None:
         if intervention != "dictionary" or not self._tokens:

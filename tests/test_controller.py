@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import recipefuzz.controller as controller_module
 from recipefuzz.controller import (
-    Blackboard,
     CampaignConfig,
     ConfigInvalid,
     _Campaign,
@@ -18,8 +20,8 @@ from recipefuzz.controller import (
     run_campaign,
 )
 from recipefuzz.cli import _reference_recipe_doc
-from recipefuzz.micro import INTERVENTIONS, ExecutorFailure, compute_reward, RewardWeights
-from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig, TelemetryFrame
+from recipefuzz.micro import INTERVENTIONS, MAX_SIZE, ExecutorFailure, compute_reward, RewardWeights
+from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
 from recipefuzz.providers import (
     DEFAULT_RECIPE_ID,
     RuleProvider,
@@ -527,6 +529,19 @@ class TestHotPathPurity:
         assert kinds_of(artifacts) == ["run_completed"]
         assert artifacts.execs_done > 0
 
+    def test_campaign_import_skips_multiprocessing(self):
+        # Only the microbench's single-process guard uses multiprocessing;
+        # a campaign's set-up must not pay for importing it.
+        src = str(Path(controller_module.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import recipefuzz.controller; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 class TestMutationSeam:
     @pytest.mark.parametrize("ablation", ["full", "baseline"])
@@ -647,14 +662,17 @@ class TestBudgetsAndDeterminism:
         with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, target="mystery"))
         with pytest.raises(ConfigInvalid):
-            run_campaign(saturated_config(tmp_path, k_cand=0))
-        with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, micro_budget_execs=0))
         for budget_sec in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigInvalid):
                 run_campaign(
                     saturated_config(tmp_path, budget_execs=None, budget_sec=budget_sec)
                 )
+        # mutate takes 1..MAX_SIZE bytes: an empty seed would fail mid-run,
+        # a longer one would put oversized children in queue/.
+        for data in (b"", b"x" * (MAX_SIZE + 1)):
+            with pytest.raises(ConfigInvalid):
+                run_campaign(saturated_config(tmp_path), seeds=(("ok", b"{}"), ("bad", data)))
         assert not (tmp_path / "run").exists()
 
 
@@ -752,21 +770,23 @@ class TestArtifacts:
         assert snap.payload["entries"] == len(list(snap_dir.glob("id_*")))
 
 
-def make_blackboard(**overrides):
-    fields = dict(
-        snapshot_path="/tmp/snap",
-        snapshot_digest="d" * 64,
-        seeds=(
+def make_blackboard(seeds=None, **overrides):
+    """A blackboard document; top-level keys may be overridden, and
+    seeds replaces the snapshot's seed list."""
+    if seeds is None:
+        seeds = [
             {"seed_id": "s0", "seed_hash": "h0", "size": 4, "family": "default"},
             {"seed_id": "s1", "seed_hash": "h1", "size": 40, "family": "default"},
-        ),
-        recent_stats=(TelemetryFrame(1.0, 10, 2, 5),),
-        static_context={"available": False, "tokens": []},
-        config_digest="c" * 64,
-        cycle=1,
-    )
-    fields.update(overrides)
-    return Blackboard(**fields)
+        ]
+    doc = {
+        "snapshot": {"path": "/tmp/snap", "digest": "d" * 64, "seeds": list(seeds)},
+        "recent_stats": [{"t": 1.0, "execs_done": 10, "paths_total": 2, "edges_found": 5}],
+        "static_context": {"available": False, "tokens": []},
+        "config_digest": "c" * 64,
+        "cycle": 1,
+    }
+    doc.update(overrides)
+    return doc
 
 
 class TestHashing:
@@ -779,7 +799,9 @@ class TestHashing:
 
     def test_counter_change_alters_digest(self):
         a = make_blackboard()
-        b = make_blackboard(recent_stats=(TelemetryFrame(1.0, 11, 2, 5),))
+        b = make_blackboard(
+            recent_stats=[{"t": 1.0, "execs_done": 11, "paths_total": 2, "edges_found": 5}]
+        )
         assert hash_context(a) != hash_context(b)
 
     # Recorded before the fixed settings became constants: the digest
@@ -832,7 +854,7 @@ class TestBuiltinDocuments:
         bb = make_blackboard()
         if static:
             bb = make_blackboard(static_context={"available": True, "tokens": ["null", "true"]})
-        text = RuleProvider().propose(bb.to_doc(), intervention)
+        text = RuleProvider().propose(bb, intervention)
         key = "dictionary-static" if static and intervention == "dictionary" else intervention
         assert hash_response(text) == DOCUMENT_PINS[key]
 
@@ -859,7 +881,7 @@ class BadDocProvider:
 
 class TestProposeCandidates:
     def test_rule_bundle(self):
-        candidates, records = propose_candidates(make_blackboard(), (), 4)
+        candidates, records = propose_candidates(make_blackboard(), ())
         assert [c.intervention for c in candidates] == [
             "default",
             "dictionary",
@@ -870,7 +892,7 @@ class TestProposeCandidates:
         assert all(r["schema_valid"] for r in records)
 
     def test_default_dictionary_tokens(self):
-        candidates, _ = propose_candidates(make_blackboard(), (), 4)
+        candidates, _ = propose_candidates(make_blackboard(), ())
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.dictionary_tokens == (b"FUZZ", b"MAGIC", b"TOKEN")
         default = next(c for c in candidates if c.intervention == "default")
@@ -880,7 +902,7 @@ class TestProposeCandidates:
         bb = make_blackboard(
             static_context={"available": True, "tokens": ["null", "true"]}
         )
-        candidates, _ = propose_candidates(bb, (), 4)
+        candidates, _ = propose_candidates(bb, ())
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.dictionary_tokens == (b"null", b"true")
 
@@ -891,16 +913,32 @@ class TestProposeCandidates:
         bb = make_blackboard(
             static_context={"available": True, "tokens": [t.decode("latin-1") for t in tokens]}
         )
-        candidates, records = propose_candidates(bb, (), 4)
+        candidates, records = propose_candidates(bb, ())
         assert len(candidates) == 4
         assert all(r["schema_valid"] for r in records)
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.dictionary_tokens == tokens
 
+    def test_overlong_static_token_keeps_the_slot(self):
+        # A token no recipe can carry (over MAX_TOKEN_LEN bytes) is skipped,
+        # not allowed to make the dictionary document schema-invalid.
+        bb = make_blackboard(static_context={"available": True, "tokens": ["x" * 65, "ok"]})
+        for providers in ((), (StaticTokenProvider([b"x" * 65, b"ok"]),)):
+            candidates, records = propose_candidates(bb, providers)
+            assert len(candidates) == 4
+            assert all(r["schema_valid"] for r in records)
+            dictionary = next(c for c in candidates if c.intervention == "dictionary")
+            assert dictionary.recipe.dictionary_tokens == (b"ok",)
+
+    def test_no_usable_static_token(self):
+        bb = make_blackboard(static_context={"available": True, "tokens": ["x" * 65]})
+        candidates, records = propose_candidates(bb, (StaticTokenProvider([b"x" * 65]),))
+        assert [r["provider"] for r in records] == ["rule"] * 4
+        dictionary = next(c for c in candidates if c.intervention == "dictionary")
+        assert dictionary.recipe.dictionary_tokens == (b"FUZZ", b"MAGIC", b"TOKEN")
+
     def test_invalid_provider_output_recorded_and_backfilled(self):
-        candidates, records = propose_candidates(
-            make_blackboard(), (BadDocProvider(),), 4
-        )
+        candidates, records = propose_candidates(make_blackboard(), (BadDocProvider(),))
         assert len(candidates) == 4
         bad = [r for r in records if not r["schema_valid"]]
         assert len(bad) == 1
@@ -913,7 +951,7 @@ class TestProposeCandidates:
 
     def test_empty_seed_list_backs_seed_slots_with_default(self):
         bb = make_blackboard(seeds=())
-        candidates, records = propose_candidates(bb, (), 4)
+        candidates, records = propose_candidates(bb, ())
         assert len(candidates) == 4
         for intervention in ("seed_focus", "per_seed_recipe"):
             record = next(r for r in records if r["intervention"] == intervention)
@@ -930,7 +968,7 @@ class TestProposeCandidates:
             assert candidate.recipe.id == DEFAULT_RECIPE_ID
 
     def test_seed_scoped_selectors(self):
-        candidates, _ = propose_candidates(make_blackboard(), (), 4)
+        candidates, _ = propose_candidates(make_blackboard(), ())
         focus = next(c for c in candidates if c.intervention == "seed_focus")
         assert focus.recipe.selector.mode == "seed_hash"
         assert focus.recipe.selector.key == "h0"  # shortest seed

@@ -9,6 +9,7 @@ import pytest
 from recipefuzz.engine import make_entry, mutate
 from recipefuzz.micro import (
     INTERVENTIONS,
+    REWARD,
     BudgetZero,
     Candidate,
     EmptyQueue,
@@ -184,9 +185,7 @@ class TestEvaluateCandidate:
         candidate = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "dictionary", "c0"
         )
-        result = evaluate_candidate(
-            candidate, ref, ParserTarget(), RewardWeights(), 1, budget_execs=400
-        )
+        result = evaluate_candidate(candidate, ref, ParserTarget(), 1, budget_execs=400)
         assert result.delta_edges == 0
         assert result.delta_paths == 0
         assert result.delta_crashes == 0
@@ -202,12 +201,8 @@ class TestEvaluateCandidate:
         garbage = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "default", "garbage"
         )
-        r_gate = evaluate_candidate(
-            gate, ref, target, RewardWeights(), 3, budget_execs=600
-        )
-        r_garbage = evaluate_candidate(
-            garbage, ref, target, RewardWeights(), 3, budget_execs=600
-        )
+        r_gate = evaluate_candidate(gate, ref, target, 3, budget_execs=600)
+        r_garbage = evaluate_candidate(garbage, ref, target, 3, budget_execs=600)
         assert r_gate.delta_edges >= 4
         assert r_gate.reward > 0
         assert r_garbage.delta_edges == 0
@@ -224,9 +219,7 @@ class TestEvaluateCandidate:
             "seed_focus",
             "c1",
         )
-        result = evaluate_candidate(
-            candidate, ref, ParserTarget(), RewardWeights(), 2, budget_execs=200
-        )
+        result = evaluate_candidate(candidate, ref, ParserTarget(), 2, budget_execs=200)
         assert result.misses == 200
         assert result.reward < 0
 
@@ -235,9 +228,7 @@ class TestEvaluateCandidate:
         ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(BudgetZero):
-            evaluate_candidate(
-                candidate, ref, ParserTarget(), RewardWeights(), 0, budget_execs=0
-            )
+            evaluate_candidate(candidate, ref, ParserTarget(), 0, budget_execs=0)
 
     def test_executor_failure_wrapped(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"xy")])
@@ -251,37 +242,28 @@ class TestEvaluateCandidate:
 
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(ExecutorFailure):
-            evaluate_candidate(
-                candidate, ref, Broken(), RewardWeights(), 0, budget_execs=10
-            )
+            evaluate_candidate(candidate, ref, Broken(), 0, budget_execs=10)
 
     def test_deterministic_per_seed(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
         ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        a = evaluate_candidate(
-            candidate, ref, StaircaseTarget(), RewardWeights(), 9, budget_execs=300
-        )
-        b = evaluate_candidate(
-            candidate, ref, StaircaseTarget(), RewardWeights(), 9, budget_execs=300
-        )
+        a = evaluate_candidate(candidate, ref, StaircaseTarget(), 9, budget_execs=300)
+        b = evaluate_candidate(candidate, ref, StaircaseTarget(), 9, budget_execs=300)
         assert a == b
 
     def test_reward_matches_fields(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
         ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        w = RewardWeights()
-        result = evaluate_candidate(
-            candidate, ref, StaircaseTarget(), w, 4, budget_execs=500
-        )
+        result = evaluate_candidate(candidate, ref, StaircaseTarget(), 4, budget_execs=500)
         assert result.reward == compute_reward(
             result.delta_edges,
             result.delta_paths,
             result.delta_crashes,
             result.hits,
             result.misses,
-            w,
+            REWARD,
             result.bitmap_available,
         )
 
@@ -360,9 +342,7 @@ class TestLeanGate:
         ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
         for i, candidate in enumerate(proposed_candidates(ref)):
             counting = CountingExecutor(target_cls())
-            lean = evaluate_candidate(
-                candidate, ref, counting, RewardWeights(), 50 + i, budget_execs=500
-            )
+            lean = evaluate_candidate(candidate, ref, counting, 50 + i, budget_execs=500)
             reference = reference_evaluate(
                 candidate, ref, target_cls(), RewardWeights(), 50 + i, 500
             )
@@ -375,7 +355,7 @@ class TestLeanGate:
         seeds, target_cls = SNAPSHOT_SEEDS["staircase"]
         ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
         results = [
-            evaluate_candidate(c, ref, target_cls(), RewardWeights(), 50 + i, budget_execs=500)
+            evaluate_candidate(c, ref, target_cls(), 50 + i, budget_execs=500)
             for i, c in enumerate(proposed_candidates(ref))
         ]
         assert any(r.misses > 0 for r in results)
