@@ -23,7 +23,7 @@ import json
 import math
 import random
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .engine import CorpusEntry, make_entry, mutate
@@ -41,7 +41,15 @@ from .micro import (
     evaluate_candidate,
     snapshot_corpus,
 )
-from .plateau import DetectorConfig, DetectorState, TelemetryFrame, check_plateau, observe
+from .plateau import (
+    THETA_EXECS,
+    WINDOW_SEC,
+    DetectorConfig,
+    DetectorState,
+    TelemetryFrame,
+    check_plateau,
+    observe,
+)
 from .providers import RuleProvider, default_recipe_doc
 from .recipe import SchemaViolation, lower_recipe, parse_recipe, serialize_recipe
 from .targets import DEFAULT_MAP_SIZE, EdgeBitmap, default_seeds, get_target, merge_into
@@ -136,8 +144,8 @@ class CampaignConfig:
             "budget_execs": self.budget_execs,
             "rng_seed": self.rng_seed,
             "detector": {
-                "window_sec": self.detector.window_sec,
-                "theta_execs": self.detector.theta_execs,
+                "window_sec": WINDOW_SEC,
+                "theta_execs": THETA_EXECS,
                 "theta_paths": self.detector.theta_paths,
                 "rearm_policy": self.detector.rearm_policy,
             },
@@ -169,6 +177,8 @@ def validate_config(config: CampaignConfig) -> None:
         raise ConfigInvalid("budget_execs must be >= 0")
     if config.micro_budget_execs < 1:
         raise ConfigInvalid("micro_budget_execs must be >= 1")
+    if config.map_capacity < 1:
+        raise ConfigInvalid("map_capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -208,34 +218,23 @@ def propose_candidates(
             text = provider.propose(blackboard, intervention)
             if text is None:
                 continue
-            resp_hash = hash_response(text)
+            record = {
+                "provider": getattr(provider, "name", type(provider).__name__),
+                "intervention": intervention,
+                "fallback_used": False,
+                "context_hash": ctx_hash,
+                "response_hash": hash_response(text),
+            }
+            records.append(record)
             try:
                 recipe = parse_recipe(text)
             except SchemaViolation as exc:
-                records.append(
-                    {
-                        "provider": getattr(provider, "name", type(provider).__name__),
-                        "intervention": intervention,
-                        "schema_valid": False,
-                        "error_kind": "schema_invalid",
-                        "fallback_used": False,
-                        "violations": [list(v) for v in exc.violations],
-                        "context_hash": ctx_hash,
-                        "response_hash": resp_hash,
-                    }
-                )
+                record["schema_valid"] = False
+                record["error_kind"] = "schema_invalid"
+                record["violations"] = [list(v) for v in exc.violations]
                 continue
-            records.append(
-                {
-                    "provider": getattr(provider, "name", type(provider).__name__),
-                    "intervention": intervention,
-                    "schema_valid": True,
-                    "fallback_used": False,
-                    "recipe_id": recipe.id,
-                    "context_hash": ctx_hash,
-                    "response_hash": resp_hash,
-                }
-            )
+            record["schema_valid"] = True
+            record["recipe_id"] = recipe.id
             candidates.append(
                 Candidate(
                     recipe=recipe,
@@ -301,7 +300,7 @@ class _Campaign:
         self.recipes_on = config.ablation in ("rule-only", "full")
         self.providers = tuple(config.providers) if config.ablation in ("full", "no-mutator") else ()
 
-        self.detector_state = DetectorState.for_config(config.detector)
+        self.detector_state = DetectorState()
 
         self.default_compact = lower_recipe(parse_recipe(default_recipe_doc()))
         self.active = self.default_compact if self.recipes_on else None
@@ -390,15 +389,7 @@ class _Campaign:
         """
         self.plateau_cycles += 1
         cycle = self.plateau_cycles
-        self._emit(
-            K_PLATEAU,
-            {
-                "fired_at": event.fired_at,
-                "window_start": event.window_start,
-                "delta_execs": event.delta_execs,
-                "delta_paths": event.delta_paths,
-            },
-        )
+        self._emit(K_PLATEAU, asdict(event))
         if self.judged is not None:
             judged_cycle, judged_digest = self.judged
             if corpus_digest(self.queue) == judged_digest:
@@ -447,17 +438,9 @@ class _Campaign:
             self._emit(
                 K_MICRO,
                 {
-                    "candidate_id": result.candidate_id,
                     "intervention": candidate.intervention,
                     "recipe_id": candidate.recipe.id,
-                    "delta_edges": result.delta_edges,
-                    "delta_paths": result.delta_paths,
-                    "delta_crashes": result.delta_crashes,
-                    "hits": result.hits,
-                    "misses": result.misses,
-                    "execs": result.execs,
-                    "reward": result.reward,
-                    "bitmap_available": result.bitmap_available,
+                    **asdict(result),
                 },
                 context_hash=ctx_hash,
             )
@@ -487,22 +470,8 @@ class _Campaign:
             }
             for e in snapshot.entries
         ]
-        if self.config.static_tokens:
-            static_context = {
-                "available": True,
-                "tokens": [t.decode("latin-1") for t in self.config.static_tokens],
-            }
-        else:
-            static_context = {"available": False, "tokens": []}
-        recent = [
-            {
-                "t": f.t,
-                "execs_done": f.execs_done,
-                "paths_total": f.paths_total,
-                "edges_found": f.edges_found,
-            }
-            for f in self.detector_state.frames[-10:]
-        ]
+        tokens = [t.decode("latin-1") for t in self.config.static_tokens]
+        recent = [asdict(f) for f in self.detector_state.frames[-10:]]
         return {
             "snapshot": {
                 # Run-relative path: identical campaign content must hash
@@ -512,7 +481,7 @@ class _Campaign:
                 "seeds": seeds,
             },
             "recent_stats": recent,
-            "static_context": static_context,
+            "static_context": {"available": bool(tokens), "tokens": tokens},
             "config_digest": self.config_digest,
             "cycle": cycle,
         }

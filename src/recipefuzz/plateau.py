@@ -1,23 +1,28 @@
 """Sliding-window plateau detector.
 
 Watches telemetry frames (cumulative exec/path/edge counters) and fires a
-plateau event when, over the trailing window of W seconds, fewer than
-theta_execs new executions AND fewer than theta_paths new paths have
+plateau event when, over the trailing window of WINDOW_SEC seconds, fewer
+than THETA_EXECS new executions AND fewer than theta_paths new paths have
 accumulated. Both comparisons are strict ("fewer than"). The detector is
 armed once per campaign by default; a cooldown-based re-arm variant exists
 but is off by default.
 
 Under the campaign's virtual clock the exec clause never decides: a frame
-covers controller.FRAME_EXECS=4 executions, so the default 10 s window
-spans about 40 execs, always below theta_execs=50. A campaign's default
-plateau therefore means "no new path in 10 s". The exec clause does gate
-frames polled from a real fuzzer's stats (frame_from_fuzzer_stats), whose
-exec rate is whatever the fuzzer reached.
+covers controller.FRAME_EXECS=4 executions, so the 10 s window spans about
+40 execs, always below THETA_EXECS=50. A campaign's default plateau
+therefore means "no new path in 10 s". The exec clause does gate frames
+polled from a real fuzzer's stats (frame_from_fuzzer_stats), whose exec
+rate is whatever the fuzzer reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+
+# The trailing window and the exec threshold are fixed; DetectorConfig sets
+# the path threshold and the arming policy.
+WINDOW_SEC = 10.0
+THETA_EXECS = 50
 
 ONCE_PER_CAMPAIGN = "once_per_campaign"
 REARM_AFTER_COOLDOWN = "rearm_after_cooldown"
@@ -66,19 +71,19 @@ def frame_from_fuzzer_stats(stats) -> TelemetryFrame:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    window_sec: float = 10.0
-    theta_execs: int = 50
     theta_paths: int = 1
     rearm_policy: str = ONCE_PER_CAMPAIGN
     cooldown_sec: float = 0.0
 
     def __post_init__(self):
-        if self.window_sec <= 0:
-            raise ValueError("window_sec must be > 0")
-        if self.theta_execs < 1 or self.theta_paths < 1:
-            raise ValueError("thresholds must be >= 1")
+        if self.theta_paths < 1:
+            raise ValueError("theta_paths must be >= 1")
         if self.rearm_policy not in (ONCE_PER_CAMPAIGN, REARM_AFTER_COOLDOWN):
             raise ValueError(f"unknown rearm policy {self.rearm_policy!r}")
+        # "not >= 0" also rejects NaN, which would never re-arm and so turn
+        # the re-arm policy into once_per_campaign without a word.
+        if not self.cooldown_sec >= 0:
+            raise ValueError("cooldown_sec must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,24 +96,20 @@ class PlateauEvent:
 
 @dataclass(frozen=True)
 class DetectorState:
-    """Frames retained for the trailing window, plus arming bookkeeping."""
+    """Frames retained for the trailing window, and when the detector last
+    fired (-inf until it first does)."""
 
-    window_sec: float
     frames: tuple[TelemetryFrame, ...] = ()
-    fired_count: int = 0
     last_fired_at: float = float("-inf")
-
-    @classmethod
-    def for_config(cls, config: DetectorConfig) -> "DetectorState":
-        return cls(window_sec=config.window_sec)
 
 
 def observe(state: DetectorState, frame: TelemetryFrame) -> DetectorState:
     """Fold a telemetry frame into the window.
 
-    Frames older than t - W are evicted, except that the newest such frame
-    is kept as the window anchor so deltas always span at least W seconds
-    even when frame timestamps jitter. Counters must be nondecreasing.
+    Frames older than t - WINDOW_SEC are evicted, except that the newest
+    such frame is kept as the window anchor so deltas always span at least
+    WINDOW_SEC even when frame timestamps jitter. Counters must be
+    nondecreasing.
     """
     if state.frames:
         last = state.frames[-1]
@@ -120,7 +121,7 @@ def observe(state: DetectorState, frame: TelemetryFrame) -> DetectorState:
                     f"{name} decreased: {getattr(last, name)} -> {getattr(frame, name)}"
                 )
     frames = state.frames + (frame,)
-    cutoff = frame.t - state.window_sec
+    cutoff = frame.t - WINDOW_SEC
     # index of the last frame at or before the cutoff: keep it as anchor
     anchor = 0
     for i, f in enumerate(frames):
@@ -132,7 +133,7 @@ def observe(state: DetectorState, frame: TelemetryFrame) -> DetectorState:
 
 
 def _armed(state: DetectorState, config: DetectorConfig, now: float) -> bool:
-    if state.fired_count == 0:
+    if state.last_fired_at == float("-inf"):
         return True
     if config.rearm_policy == ONCE_PER_CAMPAIGN:
         return False
@@ -145,27 +146,24 @@ def check_plateau(
     """Evaluate the trailing window; returns (event_or_none, new_state).
 
     Pure in (state, config): no side effects, deterministic. Returns no
-    event during warm-up (observed span < W) or while disarmed; firing
-    disarms the detector per the rearm policy.
+    event during warm-up (observed span < WINDOW_SEC) or while disarmed;
+    firing disarms the detector per the rearm policy.
     """
     if len(state.frames) < 2:
         return None, state
     oldest, newest = state.frames[0], state.frames[-1]
-    if newest.t - oldest.t < config.window_sec:
+    if newest.t - oldest.t < WINDOW_SEC:
         return None, state
     if not _armed(state, config, newest.t):
         return None, state
     delta_execs = newest.execs_done - oldest.execs_done
     delta_paths = newest.paths_total - oldest.paths_total
-    if delta_execs < config.theta_execs and delta_paths < config.theta_paths:
+    if delta_execs < THETA_EXECS and delta_paths < config.theta_paths:
         event = PlateauEvent(
             fired_at=newest.t,
             window_start=oldest.t,
             delta_execs=delta_execs,
             delta_paths=delta_paths,
         )
-        new_state = replace(
-            state, fired_count=state.fired_count + 1, last_fired_at=newest.t
-        )
-        return event, new_state
+        return event, replace(state, last_fired_at=newest.t)
     return None, state

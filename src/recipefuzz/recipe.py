@@ -291,7 +291,7 @@ def parse_recipe(text: str | bytes) -> MutationRecipe:
         bad.append(("selector", "must be an object with exactly mode and key"))
         selector = Selector("", "")
     else:
-        selector = Selector(str(sel_raw["mode"]), str(sel_raw["key"]))
+        selector = Selector(sel_raw["mode"], sel_raw["key"])
 
     weights_raw = doc["operator_weights"]
     if not isinstance(weights_raw, dict):
@@ -335,11 +335,13 @@ def parse_recipe(text: str | bytes) -> MutationRecipe:
         bad.append(("expected_signal", "must be a string"))
         signal = ""
 
+    # Scalar fields go to validate_recipe as the document gave them, so a
+    # wrong type is reported as one, not coerced.
     recipe = MutationRecipe(
-        id=doc["id"] if isinstance(doc["id"], str) else "",
+        id=doc["id"],
         selector=selector,
-        priority=doc["priority"] if isinstance(doc["priority"], int) else 0,
-        ttl_sec=doc["ttl_sec"] if isinstance(doc["ttl_sec"], int) else 0,
+        priority=doc["priority"],
+        ttl_sec=doc["ttl_sec"],
         operator_weights={str(k): v for k, v in weights_raw.items()},
         focus_ranges=focus,
         protect_ranges=protect,

@@ -1,0 +1,52 @@
+"""The names campaignbench/child.py builds and wraps.
+
+The benchmark is not part of this suite, so this guard fails here first
+when a rename or a dropped field would break it.
+"""
+
+from recipefuzz import controller, micro, providers
+from recipefuzz.engine import BENCH_CONFIGS, bench_dispatch
+from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
+from recipefuzz.targets import ExecResult
+
+CONTROLLER_WRAPPED = (
+    "mutate",
+    "merge_into",
+    "observe",
+    "check_plateau",
+    "snapshot_corpus",
+    "propose_candidates",
+    "evaluate_candidate",
+    "decide_winner",
+    "run_campaign",
+)
+MICRO_WRAPPED = ("mutate", "merge_into")
+
+
+def test_benchmark_seam(tmp_path):
+    for name in CONTROLLER_WRAPPED:
+        assert callable(getattr(controller, name)), f"controller.{name}"
+    for name in MICRO_WRAPPED:
+        assert callable(getattr(micro, name)), f"micro.{name}"
+    for cls in (providers.RuleProvider, providers.StaticTokenProvider):
+        assert callable(cls.propose)
+    assert BENCH_CONFIGS and callable(bench_dispatch)
+
+    # The keyword sets the workloads and the gate probes pass.
+    DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30)
+    probe = DetectorConfig(theta_paths=1 << 30)
+
+    # The bigram executor builds its results positionally.
+    assert ExecResult(frozenset(), False, 0).edges_hit == frozenset()
+
+    # The workloads set these fields, and the probes reassign two of them.
+    config = controller.CampaignConfig(
+        target="bigram",
+        output_dir=tmp_path,
+        budget_execs=1,
+        rng_seed=0,
+        providers=(providers.StaticTokenProvider([b"XKEY1"]),),
+        map_capacity=1 << 16,
+    )
+    config.detector = probe
+    config.budget_execs = 2

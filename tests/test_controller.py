@@ -663,6 +663,11 @@ class TestBudgetsAndDeterminism:
             run_campaign(saturated_config(tmp_path, target="mystery"))
         with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, micro_budget_execs=0))
+        # 0 divided by zero mid-set-up; -7 ran and reported a negative
+        # bitmap_cvg.
+        for map_capacity in (0, -7):
+            with pytest.raises(ConfigInvalid):
+                run_campaign(saturated_config(tmp_path, map_capacity=map_capacity))
         for budget_sec in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigInvalid):
                 run_campaign(

@@ -15,7 +15,7 @@ from recipefuzz.plateau import (
 
 def feed(frames, config=None):
     config = config or DetectorConfig()
-    state = DetectorState.for_config(config)
+    state = DetectorState()
     events = []
     for frame in frames:
         state = observe(state, frame)
@@ -38,15 +38,11 @@ def ramp(deltas_execs, deltas_paths):
 
 class TestObserve:
     def test_first_frame_retained(self):
-        state = observe(
-            DetectorState.for_config(DetectorConfig()),
-            TelemetryFrame(0.0, 0, 0, 0),
-        )
+        state = observe(DetectorState(), TelemetryFrame(0.0, 0, 0, 0))
         assert len(state.frames) == 1
 
     def test_window_eviction(self):
-        config = DetectorConfig(window_sec=10)
-        state = DetectorState.for_config(config)
+        state = DetectorState()
         for t in range(13):
             state = observe(state, TelemetryFrame(float(t), t * 100, t, t))
         # Newest t=12, cutoff 2: frames before t=2 evicted, t=2 kept.
@@ -54,8 +50,7 @@ class TestObserve:
         assert state.frames[-1].t == 12.0
 
     def test_anchor_survives_jitter(self):
-        config = DetectorConfig(window_sec=10)
-        state = DetectorState.for_config(config)
+        state = DetectorState()
         times = [0.0, 1.1, 2.2, 3.3, 4.4, 5.5, 6.6, 7.7, 8.8, 9.9, 11.0]
         for t in times:
             state = observe(state, TelemetryFrame(t, int(t * 10), 0, 0))
@@ -65,16 +60,12 @@ class TestObserve:
         assert state.frames[-1].t - state.frames[0].t >= 10
 
     def test_non_monotonic_execs(self):
-        state = observe(
-            DetectorState.for_config(DetectorConfig()), TelemetryFrame(0.0, 100, 1, 1)
-        )
+        state = observe(DetectorState(), TelemetryFrame(0.0, 100, 1, 1))
         with pytest.raises(NonMonotonicTelemetry):
             observe(state, TelemetryFrame(1.0, 99, 1, 1))
 
     def test_non_monotonic_time(self):
-        state = observe(
-            DetectorState.for_config(DetectorConfig()), TelemetryFrame(5.0, 1, 1, 1)
-        )
+        state = observe(DetectorState(), TelemetryFrame(5.0, 1, 1, 1))
         with pytest.raises(NonMonotonicTelemetry):
             observe(state, TelemetryFrame(4.0, 2, 1, 1))
 
@@ -122,7 +113,7 @@ class TestCheckPlateau:
     def test_pure_no_side_effects(self):
         frames = ramp([0] * 12, [0] * 12)
         config = DetectorConfig()
-        state = DetectorState.for_config(config)
+        state = DetectorState()
         for frame in frames:
             state = observe(state, frame)
         e1, _ = check_plateau(state, config)
@@ -188,7 +179,7 @@ class TestStatsSurface:
 
     def test_exec_clause_gates_polled_stats(self):
         # Under the campaign's virtual clock a 10 s window holds 40 execs
-        # (controller.FRAME_EXECS=4), always below theta_execs=50, so only
+        # (controller.FRAME_EXECS=4), always below THETA_EXECS=50, so only
         # the path clause decides. Frames polled from a real fuzzer's stats
         # carry its exec rate, and there the exec clause holds a plateau
         # back.
@@ -201,10 +192,11 @@ class TestStatsSurface:
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
-            DetectorConfig(window_sec=0)
-        with pytest.raises(ValueError):
-            DetectorConfig(theta_execs=0)
-        with pytest.raises(ValueError):
             DetectorConfig(theta_paths=0)
         with pytest.raises(ValueError):
             DetectorConfig(rearm_policy="sometimes")
+        # A NaN cooldown never re-arms: 60 flat frames would fire only at
+        # t=10, as once_per_campaign does.
+        for cooldown in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                DetectorConfig(rearm_policy="rearm_after_cooldown", cooldown_sec=cooldown)

@@ -119,6 +119,20 @@ class TestParse:
         with pytest.raises(SchemaViolation):
             parse_recipe(make_doc(selector={"mode": "family", "key": ""}))
 
+    @pytest.mark.parametrize("key", [5, None, ["a"]])
+    def test_non_string_selector_key_is_dropped(self, key):
+        # Not coerced to "5", "None" or "['a']".
+        with pytest.raises(SchemaViolation) as exc:
+            parse_recipe(make_doc(selector={"mode": "family", "key": key}))
+        assert exc.value.violations == [("selector.key", "must be a non-empty string")]
+
+    @pytest.mark.parametrize("field,value", [("priority", "3"), ("ttl_sec", 1.5)])
+    def test_non_integer_scalar_is_reported_as_such(self, field, value):
+        # Not replaced by 0 and then reported as "must be >= 1".
+        with pytest.raises(SchemaViolation) as exc:
+            parse_recipe(make_doc(**{field: value}))
+        assert exc.value.violations == [(field, "must be an integer")]
+
     def test_token_length_bounds(self):
         with pytest.raises(SchemaViolation):
             parse_recipe(

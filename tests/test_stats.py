@@ -170,6 +170,8 @@ class TestTost:
     def test_dispatch_equivalence_value(self):
         p = tost_equivalence(ACTIVE_REPS, EMPTY_REPS, band=0.05)
         assert p == pytest.approx(0.68, abs=0.10)
+        # The closed-form Welch df and t-cdf give this value to 1e-12.
+        assert p == pytest.approx(0.6678528234809789, abs=1e-12)
 
     def test_clearly_nonequivalent(self):
         p = tost_equivalence(ACTIVE_REPS, [v * 10 for v in ACTIVE_REPS], band=0.05)
