@@ -7,6 +7,8 @@ Subcommands cover the whole artifact surface: `run` (campaigns), `mutate`
 goes to files or stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 executor failure, 5 validation.
+An error's exit code follows from its family: every validation error is a
+ValueError, every I/O error an OSError.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import controller, elfdict, engine, micro, providers, stats, targets
-from .recipe import SchemaViolation, lower_recipe, parse_recipe
+from .recipe import lower_recipe, parse_recipe
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -276,27 +278,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (
-        SchemaViolation,
-        controller.ConfigInvalid,
-        micro.BudgetZero,
-        micro.EmptyQueue,
-        micro.EmptyResults,
-        elfdict.NotElf,
-        elfdict.NoRodataSection,
-        stats.EmptySample,
-        stats.DegenerateVariance,
-        stats.NonMonotonicSeries,
-        stats.MissingArtifact,
-        engine.ZeroCalls,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except micro.ExecutorFailure as exc:
         print(f"executor failure: {exc}", file=sys.stderr)
         return EXIT_EXECUTOR
-    except (OSError, micro.IoFailure) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

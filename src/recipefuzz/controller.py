@@ -72,7 +72,7 @@ SKIP_NON_FAVORED = 0.75
 FRAME_EXECS = 4
 
 
-class ConfigInvalid(Exception):
+class ConfigInvalid(ValueError):
     pass
 
 
@@ -369,7 +369,7 @@ class _Campaign:
                 f"executor failed at exec {self.execs_done + 1}: {exc}"
             ) from exc
         self.execs_done += 1
-        _, new_edges = merge_into(self.bitmap, result)
+        new_edges = merge_into(self.bitmap, result)
         if result.crashed:
             self.crash_sigs.add(result.edges_hit)
             return

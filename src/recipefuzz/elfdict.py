@@ -23,11 +23,11 @@ PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]+")
 DICT_LINE = re.compile(r'^(?P<name>[A-Za-z0-9_]+)="(?P<value>.*)"$')
 
 
-class NotElf(Exception):
+class NotElf(ValueError):
     pass
 
 
-class NoRodataSection(Exception):
+class NoRodataSection(ValueError):
     pass
 
 

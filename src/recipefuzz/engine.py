@@ -30,7 +30,7 @@ HAVOC_INSERT_CAP = 4
 BENCH_CONFIGS = ("vanilla", "fp-empty", "fp-active")
 
 
-class ZeroCalls(Exception):
+class ZeroCalls(ValueError):
     """bench_dispatch was asked to time zero calls."""
 
 

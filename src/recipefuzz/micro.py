@@ -48,15 +48,15 @@ SNAPSHOT_MANIFEST = "manifest.json"
 MAX_SIZE = 1024
 
 
-class EmptyQueue(Exception):
+class EmptyQueue(ValueError):
     pass
 
 
-class IoFailure(Exception):
+class IoFailure(OSError):
     pass
 
 
-class BudgetZero(Exception):
+class BudgetZero(ValueError):
     pass
 
 
@@ -74,7 +74,7 @@ EXECUTOR_ERRORS = (
 )
 
 
-class EmptyResults(Exception):
+class EmptyResults(ValueError):
     pass
 
 
@@ -289,7 +289,7 @@ def evaluate_candidate(
             result = executor.execute(outcome.output)
         except EXECUTOR_ERRORS as exc:
             raise ExecutorFailure(f"executor failed during micro run: {exc}") from exc
-        _, new_edges = merge_into(bitmap, result)
+        new_edges = merge_into(bitmap, result)
         if result.crashed and result.edges_hit not in crash_sigs:
             crash_sigs.add(result.edges_hit)
             delta_crashes += 1

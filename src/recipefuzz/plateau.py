@@ -28,7 +28,7 @@ ONCE_PER_CAMPAIGN = "once_per_campaign"
 REARM_AFTER_COOLDOWN = "rearm_after_cooldown"
 
 
-class NonMonotonicTelemetry(Exception):
+class NonMonotonicTelemetry(ValueError):
     """A cumulative counter (or the clock) went backwards."""
 
 
@@ -76,12 +76,12 @@ class DetectorConfig:
     cooldown_sec: float = 0.0
 
     def __post_init__(self):
-        if self.theta_paths < 1:
+        # "not >=" also rejects NaN: a NaN threshold never fires, and a NaN
+        # cooldown never re-arms.
+        if not self.theta_paths >= 1:
             raise ValueError("theta_paths must be >= 1")
         if self.rearm_policy not in (ONCE_PER_CAMPAIGN, REARM_AFTER_COOLDOWN):
             raise ValueError(f"unknown rearm policy {self.rearm_policy!r}")
-        # "not >= 0" also rejects NaN, which would never re-arm and so turn
-        # the re-arm policy into once_per_campaign without a word.
         if not self.cooldown_sec >= 0:
             raise ValueError("cooldown_sec must be >= 0")
 

@@ -64,14 +64,14 @@ OPERATOR_ORDER = (
     OperatorKind.DictionaryOverwrite,
 )
 
-_TOKEN_OPS = (OperatorKind.InsertToken, OperatorKind.DictionaryOverwrite)
+_TOKEN_OPS = (OperatorKind.InsertToken.value, OperatorKind.DictionaryOverwrite.value)
 
 # Writable runs for one (input length, min run length):
 # (total start offsets, ((start, end, count), ...)).
 RunTable = tuple[int, tuple[tuple[int, int, int], ...]]
 
 
-class SchemaViolation(Exception):
+class SchemaViolation(ValueError):
     """Raised when a recipe document fails validation.
 
     Carries the full list of (field_path, reason) pairs so a dropped
@@ -207,11 +207,14 @@ def validate_recipe(recipe: MutationRecipe) -> list[tuple[str, str]]:
 
     known = {op.value for op in OPERATOR_ORDER}
     total = 0.0
+    needs_tokens = False
     for name, weight in recipe.operator_weights.items():
         path = f"operator_weights.{name}"
         if name not in known:
             bad.append((path, "unknown operator"))
             continue
+        if name in _TOKEN_OPS and isinstance(weight, (int, float)) and weight > 0:
+            needs_tokens = True
         if isinstance(weight, bool) or not isinstance(weight, (int, float)):
             bad.append((path, "weight must be numeric"))
         elif weight < 0:
@@ -247,9 +250,6 @@ def validate_recipe(recipe: MutationRecipe) -> list[tuple[str, str]]:
         if not 1 <= len(tok) <= MAX_TOKEN_LEN:
             bad.append((f"dictionary_tokens[{i}]", f"token length must be 1..{MAX_TOKEN_LEN} bytes"))
 
-    needs_tokens = any(
-        float(recipe.operator_weights.get(op.value, 0.0) or 0.0) > 0 for op in _TOKEN_OPS
-    )
     if needs_tokens and not recipe.dictionary_tokens:
         bad.append(
             ("dictionary_tokens", "must be non-empty when InsertToken or DictionaryOverwrite has weight > 0")

@@ -1,8 +1,8 @@
 """Campaign statistics: run-artifact aggregation and the comparison toolkit.
 
 Implements the two-group comparison machinery used to evaluate campaigns:
-exact two-sided Mann-Whitney U (full enumeration of rank arrangements for
-small samples, normal approximation with tie correction otherwise),
+two-sided Mann-Whitney U (exact, tie-aware enumeration of rank arrangements
+for small samples, scipy's asymptotic test otherwise; NaN is rejected),
 Vargha-Delaney A12 effect size, percentile-bootstrap median confidence
 intervals, and a TOST equivalence check for throughput parity. Also parses
 run-artifact trees (fuzzer_stats, coverage series, event log) into per-run
@@ -18,7 +18,7 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import ttest_ind
+from scipy.stats import mannwhitneyu, rankdata, ttest_ind
 
 from .plateau import parse_fuzzer_stats
 
@@ -34,51 +34,35 @@ GATE_MIN_COVERAGE_ROWS = 200
 REQUIRED_ARTIFACTS = ("fuzzer_stats", "coverage.csv", "events.jsonl", "run_metadata.json")
 
 
-class EmptySample(Exception):
+class EmptySample(ValueError):
     pass
 
 
-class DegenerateVariance(Exception):
+class DegenerateVariance(ValueError):
     pass
 
 
-class NonMonotonicSeries(Exception):
+class NonMonotonicSeries(ValueError):
     pass
 
 
-class MissingArtifact(Exception):
+class MissingArtifact(ValueError):
     def __init__(self, run_id: str, artifact: str):
         self.run_id = run_id
         self.artifact = artifact
         super().__init__(f"run {run_id}: missing artifact {artifact}")
 
 
-def _midranks(values: list[float]) -> list[float]:
-    """Fractional ranks (1-based); tied values share the mean rank."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+def _rank_test(x, y):
+    """Both samples as lists plus scipy's asymptotic Mann-Whitney result.
 
-
-def _u_pair(x, y) -> tuple[float, float]:
-    """(Ux, Uy) with ties credited 0.5 to each side."""
-    ux = 0.0
-    for xi in x:
-        for yj in y:
-            if xi > yj:
-                ux += 1.0
-            elif xi == yj:
-                ux += 0.5
-    return ux, len(x) * len(y) - ux
+    Its statistic is the U of x with ties credited 0.5; a NaN in either
+    sample raises ValueError.
+    """
+    x, y = list(x), list(y)
+    if not x or not y:
+        raise EmptySample("both samples must be non-empty")
+    return x, y, mannwhitneyu(x, y, method="asymptotic", nan_policy="raise")
 
 
 def mann_whitney(x, y) -> tuple[float, float]:
@@ -87,56 +71,34 @@ def mann_whitney(x, y) -> tuple[float, float]:
     U is min(Ux, Uy) with ties credited 0.5. When the smaller sample has
     at most 8 elements the p-value is exact: the proportion of all
     C(n+m, n) rank arrangements whose min-U is at least as extreme as the
-    observed one. Larger samples use the normal approximation with tie
-    correction and continuity correction.
+    observed one, ties credited half. Larger samples use scipy's normal
+    approximation with tie and continuity correction. NaN raises
+    ValueError.
     """
-    x, y = list(x), list(y)
-    if not x or not y:
-        raise EmptySample("both samples must be non-empty")
+    x, y, res = _rank_test(x, y)
     n, m = len(x), len(y)
-    ux, uy = _u_pair(x, y)
-    u_obs = min(ux, uy)
+    prod = n * m
+    ux = float(res.statistic)
+    u_obs = min(ux, prod - ux)
 
-    small = min(n, m)
-    if small <= EXACT_MIN_N and math.comb(n + m, small) <= EXACT_ARRANGEMENT_CAP:
-        pooled = x + y
-        ranks = _midranks(pooled)
-        total = 0
-        extreme = 0
-        offset = n * (n + 1) / 2
-        prod = n * m
-        for comb in combinations(range(n + m), n):
-            ux_c = sum(ranks[i] for i in comb) - offset
-            u_c = min(ux_c, prod - ux_c)
-            total += 1
-            if u_c <= u_obs + 1e-9:
-                extreme += 1
-        return u_obs, extreme / total
-
-    # Normal approximation with tie correction.
-    pooled = x + y
-    big_n = n + m
-    tie_sum = 0
-    seen: dict[float, int] = {}
-    for v in pooled:
-        seen[v] = seen.get(v, 0) + 1
-    for count in seen.values():
-        tie_sum += count**3 - count
-    var = (n * m / 12) * (big_n + 1 - tie_sum / (big_n * (big_n - 1)))
-    if var <= 0:
-        return u_obs, 1.0
-    z = (u_obs - n * m / 2 + 0.5) / math.sqrt(var)
-    p = 2 * (0.5 * math.erfc(-z / math.sqrt(2)))
-    return u_obs, min(p, 1.0)
+    arrangements = math.comb(n + m, n)
+    if min(n, m) > EXACT_MIN_N or arrangements > EXACT_ARRANGEMENT_CAP:
+        return u_obs, float(res.pvalue)
+    # Plain floats keep the enumeration loop out of numpy scalars.
+    ranks = rankdata(x + y).tolist()
+    extreme = 0
+    offset = n * (n + 1) / 2
+    for comb in combinations(range(n + m), n):
+        ux_c = sum(ranks[i] for i in comb) - offset
+        if min(ux_c, prod - ux_c) <= u_obs + 1e-9:
+            extreme += 1
+    return u_obs, extreme / arrangements
 
 
 def vargha_delaney_a12(x, y) -> float:
     """A12: probability a draw from x exceeds a draw from y, ties half."""
-    x, y = list(x), list(y)
-    if not x or not y:
-        raise EmptySample("both samples must be non-empty")
-    ux, _ = _u_pair(x, y)
-    return ux / (len(x) * len(y))
+    x, y, res = _rank_test(x, y)
+    return float(res.statistic) / (len(x) * len(y))
 
 
 def bootstrap_median_ci(x, resamples: int = 10_000, seed: int = 0) -> tuple[float, float]:

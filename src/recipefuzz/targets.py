@@ -42,8 +42,8 @@ class EdgeBitmap:
         return len(self.slots)
 
 
-def merge_into(bitmap: EdgeBitmap, result: ExecResult) -> tuple[EdgeBitmap, int]:
-    """Merge a result's edges into the bitmap; returns (bitmap, new_edges).
+def merge_into(bitmap: EdgeBitmap, result: ExecResult) -> int:
+    """Merge a result's edges into the bitmap; returns the new-edge count.
 
     Idempotent and commutative: re-merging the same result adds nothing.
     """
@@ -53,7 +53,7 @@ def merge_into(bitmap: EdgeBitmap, result: ExecResult) -> tuple[EdgeBitmap, int]
         if slot not in bitmap.slots:
             bitmap.slots.add(slot)
             new += 1
-    return bitmap, new
+    return new
 
 
 # --- parser target edge IDs (statically assigned, one per branch arm) ---

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import recipefuzz.cli as cli_module
 import recipefuzz.controller as controller_module
+from recipefuzz import controller, elfdict, engine, micro, plateau, recipe, stats
 from recipefuzz.cli import main
 from recipefuzz.targets import ParserTarget, default_seeds
 
@@ -15,6 +17,41 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "exc,code",
+    [
+        (controller.ConfigInvalid("x"), 5),
+        (recipe.SchemaViolation([("id", "x")]), 5),
+        (micro.EmptyQueue("x"), 5),
+        (micro.BudgetZero("x"), 5),
+        (micro.EmptyResults("x"), 5),
+        (engine.ZeroCalls("x"), 5),
+        (elfdict.NotElf("x"), 5),
+        (elfdict.NoRodataSection("x"), 5),
+        (plateau.NonMonotonicTelemetry("x"), 5),
+        (stats.EmptySample("x"), 5),
+        (stats.DegenerateVariance("x"), 5),
+        (stats.NonMonotonicSeries("x"), 5),
+        (stats.MissingArtifact("r", "fuzzer_stats"), 5),
+        (micro.ExecutorFailure("x"), 4),
+        (micro.IoFailure("x"), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_follows_exception_family(exc, code, capsys, monkeypatch):
+    # Validation errors are ValueErrors and I/O errors OSErrors, so main
+    # names only the three families.
+    assert isinstance(exc, ValueError) == (code == 5)
+    assert isinstance(exc, OSError) == (code == 3)
+
+    def fail(args):
+        raise exc
+
+    monkeypatch.setitem(cli_module._DISPATCH, "stats", fail)
+    assert main(["stats", "--runs", "x"]) == code
+    assert str(exc) in capsys.readouterr().err
 
 
 class TestUsage:
@@ -150,6 +187,21 @@ class TestMutate:
             capsys, "mutate", "--recipe", "default", "--input", str(tmp_path / "nope"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("weight", [[1], {"a": 1}, "abc"])
+    def test_malformed_token_weight_exits_5(self, weight, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "id": "w", "selector": {"mode": "mode", "key": "any"}, "priority": 1,
+            "ttl_sec": 60, "operator_weights": {"BitFlip": 1.0, "InsertToken": weight},
+        }))
+        inp = tmp_path / "a"
+        inp.write_bytes(b"ab")
+        code, _, err = run_cli(
+            capsys, "mutate", "--recipe", str(bad), "--input", str(inp),
+        )
+        assert code == 5
+        assert "weight must be numeric" in err
 
 
 def micro_fields(stdout):
@@ -329,3 +381,15 @@ class TestStats:
     def test_missing_tree_exits_3(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "stats", "--runs", str(tmp_path / "missing"))
         assert code == 3
+
+    def test_nan_plateau_exits_5(self, tmp_path, capsys):
+        tree = build_fixture_run_tree(tmp_path / "runs")
+        stats_file = next(tree.glob("e1_full_*")) / "fuzzer_stats"
+        lines = [
+            f"{'last_find':<18}: nan" if line.startswith("last_find") else line
+            for line in stats_file.read_text().splitlines()
+        ]
+        stats_file.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "stats", "--runs", str(tree))
+        assert code == 5
+        assert "nan" in err

@@ -954,6 +954,28 @@ class TestProposeCandidates:
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
         assert dictionary.recipe.id == "rule_dictionary"
 
+    @pytest.mark.parametrize("weight", [[1], {"a": 1}, "abc"])
+    def test_malformed_token_weight_recorded_and_backfilled(self, weight):
+        class MalformedWeightProvider:
+            name = "malformed-weight"
+
+            def propose(self, blackboard, intervention):
+                weights = {"BitFlip": 1.0, "InsertToken": weight}
+                return json.dumps({
+                    "id": "w", "selector": {"mode": "mode", "key": "any"},
+                    "priority": 1, "ttl_sec": 60, "operator_weights": weights,
+                })
+
+        candidates, records = propose_candidates(make_blackboard(), (MalformedWeightProvider(),))
+        assert len(candidates) == 4
+        bad = [r for r in records if not r["schema_valid"]]
+        assert [r["error_kind"] for r in bad] == ["schema_invalid"] * 4
+        assert all(
+            r["violations"] == [["operator_weights.InsertToken", "weight must be numeric"]]
+            for r in bad
+        )
+        assert [r["provider"] for r in records if r["schema_valid"]] == ["rule"] * 4
+
     def test_empty_seed_list_backs_seed_slots_with_default(self):
         bb = make_blackboard(seeds=())
         candidates, records = propose_candidates(bb, ())

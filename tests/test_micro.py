@@ -292,7 +292,7 @@ def reference_evaluate(candidate, snapshot, executor, weights, rng_seed, budget_
         if outcome.miss:
             misses += 1
             continue
-        _, new_edges = merge_into(bitmap, result)
+        new_edges = merge_into(bitmap, result)
         if result.crashed and result.edges_hit not in crash_sigs:
             crash_sigs.add(result.edges_hit)
             delta_crashes += 1

@@ -200,3 +200,8 @@ class TestConfigValidation:
         for cooldown in (float("nan"), -1.0):
             with pytest.raises(ValueError):
                 DetectorConfig(rearm_policy="rearm_after_cooldown", cooldown_sec=cooldown)
+
+    def test_nan_theta_paths_rejected(self):
+        # A NaN threshold is never crossed: 60 flat frames would not fire.
+        with pytest.raises(ValueError):
+            DetectorConfig(theta_paths=float("nan"))

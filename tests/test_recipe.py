@@ -133,6 +133,15 @@ class TestParse:
             parse_recipe(make_doc(**{field: value}))
         assert exc.value.violations == [(field, "must be an integer")]
 
+    @pytest.mark.parametrize("op", ["InsertToken", "DictionaryOverwrite"])
+    @pytest.mark.parametrize("weight", [[1], {"a": 1}, "abc", "0.5"])
+    def test_malformed_token_op_weight_is_one_violation(self, op, weight):
+        # Neither a raw TypeError/ValueError nor a token violation for a
+        # weight that is not a number.
+        with pytest.raises(SchemaViolation) as exc:
+            parse_recipe(make_doc(operator_weights={"BitFlip": 1.0, op: weight}))
+        assert exc.value.violations == [(f"operator_weights.{op}", "weight must be numeric")]
+
     def test_token_length_bounds(self):
         with pytest.raises(SchemaViolation):
             parse_recipe(

@@ -112,6 +112,30 @@ class TestMannWhitney:
         with pytest.raises(EmptySample):
             mann_whitney([], [1])
 
+    @pytest.mark.parametrize(
+        "x,y,u,p,a12",
+        [
+            ([i % 5 for i in range(12)], [(3 * i) % 7 for i in range(15)],
+             64.5, 0.2163088013033556, 0.35833333333333334),
+            ([1.5 * i for i in range(10)], [2.25 * i + 0.1 for i in range(9)],
+             33.0, 0.3477455989106976, 0.36666666666666664),
+            ([4] * 9, [4] * 9, 40.5, 1.0, 0.5),
+        ],
+    )
+    def test_approximation_values_pinned(self, x, y, u, p, a12):
+        # Both samples exceed EXACT_MIN_N: tie- and continuity-corrected
+        # normal approximation.
+        u_got, p_got = mann_whitney(x, y)
+        assert u_got == u
+        assert p_got == pytest.approx(p, abs=1e-12)
+        assert vargha_delaney_a12(x, y) == pytest.approx(a12, abs=1e-12)
+
+    @pytest.mark.parametrize("func", [mann_whitney, vargha_delaney_a12])
+    def test_nan_rejected(self, func):
+        # NaN would otherwise lose every comparison without a word.
+        with pytest.raises(ValueError):
+            func([1, float("nan"), 3], [2, 4])
+
 
 class TestA12:
     def test_main_arm_effect(self):

@@ -124,16 +124,16 @@ class TestEdgeBitmap:
         t = ParserTarget()
         bm = EdgeBitmap()
         result = t.execute(b"{}")
-        _, new = merge_into(bm, result)
+        new = merge_into(bm, result)
         assert new == len(result.edges_hit)
-        _, again = merge_into(bm, result)
+        again = merge_into(bm, result)
         assert again == 0  # idempotent
 
     def test_disjoint_results_add(self):
         s = StaircaseTarget()
         bm = EdgeBitmap()
-        _, n1 = merge_into(bm, s.execute(b"aaaaa"))
-        _, n2 = merge_into(bm, s.execute(b"with XKEY1 in it"))
+        n1 = merge_into(bm, s.execute(b"aaaaa"))
+        n2 = merge_into(bm, s.execute(b"with XKEY1 in it"))
         assert bm.count == n1 + n2
 
     def test_capacity_wraps(self):
