@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import shutil
 import statistics
 import sys
 from pathlib import Path
@@ -76,13 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--out", default=None, help="output file (stdout as raw bytes when omitted)")
     p_mut.add_argument("--max-size", type=int, default=4096)
 
-    p_micro = sub.add_parser("micro", help="evaluate one candidate recipe against a queue snapshot")
+    p_micro = sub.add_parser("micro", help="evaluate one candidate recipe against a queue directory")
     p_micro.add_argument("--target", default="parser")
-    p_micro.add_argument("--queue", required=True, help="queue directory to snapshot")
+    p_micro.add_argument("--queue", required=True, help="queue directory whose entries seed the run")
     p_micro.add_argument("--recipe", required=True)
     p_micro.add_argument("--seed", type=int, default=0)
     p_micro.add_argument("--budget-execs", type=int, default=500, help="mutation calls to spend")
-    p_micro.add_argument("--snapshot-dir", default=None, help="where to place the snapshot; must not exist (default: <queue>-snapshot, replaced on rerun)")
 
     p_bench = sub.add_parser("microbench", help="mutator dispatch-cost protocol")
     p_bench.add_argument("--config", default="all", choices=engine.BENCH_CONFIGS + ("all",))
@@ -154,16 +152,8 @@ def _cmd_micro(args) -> int:
         recipe=recipe, intervention="dictionary", candidate_id=f"cli_{recipe.id}"
     )
     entries = micro.read_queue(args.queue)
-    snap_dir = args.snapshot_dir
-    if not snap_dir:
-        # The default directory belongs to this subcommand: a rerun replaces
-        # it, as a campaign rerun replaces its own subdirectories.
-        snap_dir = Path(str(Path(args.queue)) + "-snapshot")
-        if snap_dir.exists():
-            shutil.rmtree(snap_dir)
-    snapshot = micro.snapshot_corpus(entries, snap_dir)
     result = micro.evaluate_candidate(
-        candidate, snapshot, target, args.seed, budget_execs=args.budget_execs
+        candidate, entries, target, args.seed, budget_execs=args.budget_execs
     )
     for key in (
         "candidate_id", "delta_edges", "delta_paths", "delta_crashes",

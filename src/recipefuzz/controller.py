@@ -52,7 +52,7 @@ from .plateau import (
 )
 from .providers import RuleProvider, default_recipe_doc
 from .recipe import SchemaViolation, lower_recipe, parse_recipe, serialize_recipe
-from .targets import DEFAULT_MAP_SIZE, EdgeBitmap, default_seeds, get_target, merge_into
+from .targets import DEFAULT_MAP_SIZE, EdgeBitmap, UnknownTarget, default_seeds, get_target, merge_into
 
 ABLATIONS = ("baseline", "rule-only", "no-mutator", "controller-only", "full")
 
@@ -428,7 +428,7 @@ class _Campaign:
             micro_seed = self.config.rng_seed * 1_000_003 + cycle * 1_000 + i
             result = evaluate_candidate(
                 candidate,
-                snapshot,
+                snapshot.entries,
                 self.executor,
                 micro_seed,
                 budget_execs=self.config.micro_budget_execs,
@@ -587,8 +587,10 @@ def run_campaign(
     1..MAX_SIZE bytes, the sizes mutate can take and give back; any other
     raises ConfigInvalid before anything is written. The in-memory queue is
     the campaign's corpus: the main loop mutates over it and the plateau
-    handler snapshots it, and nothing reads queue/ back. queue/ is still written
-    on every admission, as a record of the corpus. Artifacts:
+    handler snapshots it, and nothing reads queue/ back. queue/ records it,
+    one write-once file per entry written on admission, and is the only
+    on-disk copy of the entry bytes: a snapshot, snapshots/cycle_NN/, holds
+    just the manifest that names its entries in queue/. Artifacts:
     fuzzer_stats, coverage.csv, events.jsonl, run_metadata.json plus
     queue/, snapshots/ and recipes/ directories under output_dir.
 
@@ -604,12 +606,12 @@ def run_campaign(
     if executor is None:
         try:
             executor = get_target(config.target)
-        except KeyError as exc:
+        except UnknownTarget as exc:
             raise ConfigInvalid(str(exc)) from None
     if seeds is None:
         try:
             seeds = default_seeds(config.target)
-        except KeyError:
+        except UnknownTarget:
             raise ConfigInvalid(
                 f"no built-in seeds for target {config.target!r}; pass seeds explicitly"
             ) from None

@@ -3,7 +3,8 @@
 A candidate recipe is never trusted directly: it is scored in a short
 isolated fuzzing run over a frozen corpus snapshot, using a coverage map
 disjoint from the main run, and promoted only when its reward is strictly
-positive.
+positive. A snapshot on disk is its manifest alone: it names entries whose
+bytes stay in the run's queue/.
 
 Reward accounting: delta_edges / delta_paths / delta_crashes are measured
 against the snapshot's replayed baseline coverage. The hit count h is the
@@ -28,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -195,19 +196,18 @@ def corpus_digest(entries: Iterable[CorpusEntry]) -> str:
 
 
 def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> SnapshotRef:
-    """Freeze corpus entries into a private snapshot directory.
+    """Freeze corpus entries as a snapshot: its manifest, and nothing else.
 
-    Writes every entry byte-for-byte under its seed_id, plus the manifest
-    (corpus_manifest). The returned ref carries the entries sorted by
-    seed_id; later corpus changes cannot affect it.
+    Writes only the manifest (corpus_manifest) into dest_dir, which must
+    not exist yet. The entry bytes stay where the campaign wrote them, one
+    write-once file per seed_id in its queue/. The returned ref carries
+    the entries sorted by seed_id; later corpus changes cannot affect it.
     """
     entries = tuple(sorted(entries, key=lambda e: e.seed_id))
     dest_dir = Path(dest_dir)
     manifest_bytes = corpus_manifest(entries)
     try:
         dest_dir.mkdir(parents=True, exist_ok=False)
-        for entry in entries:
-            (dest_dir / entry.seed_id).write_bytes(entry.data)
         (dest_dir / SNAPSHOT_MANIFEST).write_bytes(manifest_bytes)
     except OSError as exc:
         raise IoFailure(f"cannot write snapshot {dest_dir}: {exc}") from exc
@@ -218,39 +218,43 @@ def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> Sna
     )
 
 
-def snapshot_digest(ref: SnapshotRef) -> str:
-    """Recompute the snapshot digest from its on-disk content."""
+def snapshot_digest(ref: SnapshotRef, queue_dir: Path | str) -> str:
+    """Recompute the snapshot digest from the bytes queue_dir holds for
+    the entries the snapshot names."""
+    queue_dir = Path(queue_dir)
     return corpus_digest(
-        make_entry(e.seed_id, (ref.path / e.seed_id).read_bytes()) for e in ref.entries
+        make_entry(e.seed_id, (queue_dir / e.seed_id).read_bytes()) for e in ref.entries
     )
 
 
 def evaluate_candidate(
     candidate: Candidate,
-    snapshot: SnapshotRef,
+    entries: Sequence[CorpusEntry],
     executor,
     rng_seed: int,
     budget_execs: int,
     map_capacity: int = DEFAULT_MAP_SIZE,
 ) -> MicroResult:
-    """Score one candidate in an isolated run seeded from the snapshot.
+    """Score one candidate in an isolated run seeded from corpus entries.
 
-    The run uses its own coverage map; deltas are measured against the
-    snapshot's replayed baseline. The one budget is budget_execs mutation
+    entries is the corpus the run starts from: a snapshot's entries in a
+    campaign, a queue directory's under `recipefuzz micro`. The run uses
+    its own coverage map; deltas are measured against the entries'
+    replayed baseline. The one budget is budget_execs mutation
     calls (a campaign's micro_budget_execs, 500 by default), so the run is
     reproducible from rng_seed. The reward is weighted by REWARD.
 
     Each mutation call spends one exec of the budget. A miss is charged
     without running the target, since its output is an unchanged corpus
     entry; result.execs counts mutation calls, and the target runs
-    len(snapshot.entries) + execs - misses times.
+    len(entries) + execs - misses times.
     """
     if budget_execs <= 0:
         raise BudgetZero(f"budget_execs must be > 0, got {budget_execs}")
 
-    corpus = list(snapshot.entries)
+    corpus = list(entries)
     if not corpus:
-        raise EmptyQueue("snapshot holds no entries")
+        raise EmptyQueue("no corpus entries to start from")
 
     compact = lower_recipe(candidate.recipe)
     rng = random.Random(rng_seed)
@@ -259,13 +263,13 @@ def evaluate_candidate(
     # by coverage, not triage).
     crash_sigs: set[frozenset[int]] = set()
 
-    # Replay the snapshot to establish the baseline the deltas are
+    # Replay the entries to establish the baseline the deltas are
     # measured against.
     for entry in corpus:
         try:
             result = executor.execute(entry.data)
         except EXECUTOR_ERRORS as exc:
-            raise ExecutorFailure(f"executor failed on snapshot entry: {exc}") from exc
+            raise ExecutorFailure(f"executor failed on corpus entry: {exc}") from exc
         merge_into(bitmap, result)
         if result.crashed:
             crash_sigs.add(result.edges_hit)

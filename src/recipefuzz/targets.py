@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 DEFAULT_MAP_SIZE = 4096
-DEFAULT_MAX_INPUT = 1 << 20
+# The largest input a built-in target executes; a longer one is a ValueError.
+MAX_INPUT = 1 << 20
+
+
+class UnknownTarget(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -334,14 +339,13 @@ class _ParseRun:
 class ParserTarget:
     """Reference structured-text parser target."""
 
-    def __init__(self, crash_depth: int = 64, max_input: int = DEFAULT_MAX_INPUT):
+    def __init__(self, crash_depth: int = 64):
         self.name = f"parser(depth={crash_depth})"
         self.crash_depth = crash_depth
-        self.max_input = max_input
 
     def execute(self, data: bytes) -> ExecResult:
-        if len(data) > self.max_input:
-            raise ValueError(f"input exceeds max size {self.max_input}")
+        if len(data) > MAX_INPUT:
+            raise ValueError(f"input exceeds max size {MAX_INPUT}")
         run = _ParseRun(data, self.crash_depth)
         run.edge(E_ENTER)
         if not data:
@@ -366,7 +370,7 @@ STAIR_BASE = (1000, 1001, 1002)
 STAIR_GATE_EDGE_BASE = 2000
 STAIR_GATE_EDGE_STRIDE = 10
 DEFAULT_GATES = (b"XKEY1", b"ZMAGIC9")
-DEFAULT_EDGES_PER_GATE = 4
+EDGES_PER_GATE = 4
 
 
 class StaircaseTarget:
@@ -374,27 +378,20 @@ class StaircaseTarget:
     appears anywhere in the input. Base edges saturate from any small
     seed set; the gated groups are unreachable without the literal."""
 
-    def __init__(
-        self,
-        gates: tuple[bytes, ...] = DEFAULT_GATES,
-        edges_per_gate: int = DEFAULT_EDGES_PER_GATE,
-        max_input: int = DEFAULT_MAX_INPUT,
-    ):
+    def __init__(self, gates: tuple[bytes, ...] = DEFAULT_GATES):
         for g in gates:
             if len(g) < 5:
                 raise ValueError("gate literals must be at least 5 bytes")
         self.name = "staircase(" + ",".join(g.decode("ascii") for g in gates) + ")"
         self.gates = tuple(gates)
-        self.edges_per_gate = edges_per_gate
-        self.max_input = max_input
 
     def gate_edges(self, index: int) -> frozenset[int]:
         base = STAIR_GATE_EDGE_BASE + STAIR_GATE_EDGE_STRIDE * index
-        return frozenset(range(base, base + self.edges_per_gate))
+        return frozenset(range(base, base + EDGES_PER_GATE))
 
     def execute(self, data: bytes) -> ExecResult:
-        if len(data) > self.max_input:
-            raise ValueError(f"input exceeds max size {self.max_input}")
+        if len(data) > MAX_INPUT:
+            raise ValueError(f"input exceeds max size {MAX_INPUT}")
         edges = {STAIR_BASE[0]}
         if len(data) >= 1:
             edges.add(STAIR_BASE[1])
@@ -447,7 +444,7 @@ def get_target(name: str):
         return ParserTarget()
     if name == "staircase":
         return StaircaseTarget()
-    raise KeyError(f"unknown built-in target {name!r}")
+    raise UnknownTarget(f"unknown built-in target {name!r}")
 
 
 def default_seeds(name: str) -> tuple[tuple[str, bytes], ...]:
@@ -455,4 +452,4 @@ def default_seeds(name: str) -> tuple[tuple[str, bytes], ...]:
         return PARSER_SEEDS
     if name == "staircase":
         return STAIRCASE_SEEDS
-    raise KeyError(f"unknown built-in target {name!r}")
+    raise UnknownTarget(f"unknown built-in target {name!r}")

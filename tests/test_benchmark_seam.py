@@ -5,7 +5,7 @@ when a rename or a dropped field would break it.
 """
 
 from recipefuzz import controller, micro, providers
-from recipefuzz.engine import BENCH_CONFIGS, bench_dispatch
+from recipefuzz.engine import BENCH_CONFIGS, bench_dispatch, make_entry
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
 from recipefuzz.targets import ExecResult
 
@@ -50,3 +50,8 @@ def test_benchmark_seam(tmp_path):
     )
     config.detector = probe
     config.budget_execs = 2
+
+    # The traced benchmark counts len(ref.entries) per snapshot.
+    entries = [make_entry(name, name.encode()) for name in ("b", "c", "a")]
+    ref = controller.snapshot_corpus(entries, tmp_path / "snap")
+    assert ref.entries == tuple(sorted(entries, key=lambda e: e.seed_id))

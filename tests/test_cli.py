@@ -8,7 +8,7 @@ import recipefuzz.cli as cli_module
 import recipefuzz.controller as controller_module
 from recipefuzz import controller, elfdict, engine, micro, plateau, recipe, stats
 from recipefuzz.cli import main
-from recipefuzz.targets import ParserTarget, default_seeds
+from recipefuzz.targets import ParserTarget, UnknownTarget, default_seeds
 
 from conftest import CountingExecutor, build_elf, build_fixture_run_tree
 
@@ -35,6 +35,7 @@ def run_cli(capsys, *argv):
         (stats.DegenerateVariance("x"), 5),
         (stats.NonMonotonicSeries("x"), 5),
         (stats.MissingArtifact("r", "fuzzer_stats"), 5),
+        (UnknownTarget("x"), 5),
         (micro.ExecutorFailure("x"), 4),
         (micro.IoFailure("x"), 3),
     ],
@@ -90,11 +91,16 @@ class TestRun:
             assert (out / name).is_file()
 
     def test_bad_target_exits_5(self, tmp_path, capsys):
-        code, _, err = run_cli(
-            capsys, "run", "--target", "nope", "--budget", "5", "--out", str(tmp_path / "x")
-        )
-        assert code == 5
-        assert "error" in err
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        (queue / "a").write_bytes(b"[1]")
+        for argv in (
+            ("run", "--target", "nope", "--budget", "5", "--out", str(tmp_path / "x")),
+            ("micro", "--target", "nope", "--queue", str(queue), "--recipe", "default"),
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 5, argv[0]
+            assert err == "error: unknown built-in target 'nope'\n"
 
     def test_missing_budget_exits_5(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "run", "--out", str(tmp_path / "x"))
@@ -243,19 +249,11 @@ class TestMicro:
             "400",
             "--seed",
             "2",
-            "--snapshot-dir",
-            str(tmp_path / "snap"),
         )
         assert code == 0
         fields = micro_fields(stdout)
         assert int(fields["delta_edges"]) >= 4
         assert float(fields["reward"]) > 0
-
-    def micro_rerun(self, capsys, queue, *extra):
-        for name, data in (("a", b"[1, 2]"), ("b", b'{"k": "v"}')):
-            (queue / name).write_bytes(data)
-        argv = ("micro", "--queue", str(queue), "--recipe", "default", "--budget-execs", "200", *extra)
-        return run_cli(capsys, *argv), run_cli(capsys, *argv)
 
     def test_default_budget_is_500_execs_and_reproducible(self, tmp_path, capsys):
         queue = tmp_path / "queue"
@@ -268,21 +266,28 @@ class TestMicro:
         assert out1 == out2
         assert micro_fields(out1)["execs"] == "500"
 
-    def test_rerun_replaces_default_snapshot_dir(self, tmp_path, capsys):
+    def test_rerun_writes_nothing(self, tmp_path, capsys):
         queue = tmp_path / "queue"
         queue.mkdir()
-        (code1, out1, _), (code2, out2, err2) = self.micro_rerun(capsys, queue)
+        for name, data in (("a", b"[1, 2]"), ("b", b'{"k": "v"}')):
+            (queue / name).write_bytes(data)
+
+        def tree():
+            return {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+        before = tree()
+        argv = ("micro", "--queue", str(queue), "--recipe", "default", "--budget-execs", "200")
+        (code1, out1, _), (code2, out2, err2) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert (code1, code2) == (0, 0), err2
         assert out1 == out2
-        assert sorted(p.name for p in (tmp_path / "queue-snapshot").iterdir()) == ["a", "b", "manifest.json"]
+        assert tree() == before
 
-    def test_existing_explicit_snapshot_dir_exits_3(self, tmp_path, capsys):
-        queue = tmp_path / "queue"
-        queue.mkdir()
-        snap = tmp_path / "snap"
-        (code1, _, _), (code2, _, err2) = self.micro_rerun(capsys, queue, "--snapshot-dir", str(snap))
-        assert (code1, code2) == (0, 3)
-        assert "cannot write snapshot" in err2
+    def test_snapshot_dir_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["micro", "--queue", str(tmp_path), "--recipe", "default",
+                  "--snapshot-dir", str(tmp_path / "snap")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "snap").exists()
 
     def test_empty_queue_exits_5(self, tmp_path, capsys):
         queue = tmp_path / "queue"

@@ -20,7 +20,14 @@ from recipefuzz.controller import (
     run_campaign,
 )
 from recipefuzz.cli import _reference_recipe_doc
-from recipefuzz.micro import INTERVENTIONS, MAX_SIZE, ExecutorFailure, compute_reward, RewardWeights
+from recipefuzz.micro import (
+    INTERVENTIONS,
+    MAX_SIZE,
+    ExecutorFailure,
+    RewardWeights,
+    compute_reward,
+    snapshot_digest,
+)
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
 from recipefuzz.providers import (
     DEFAULT_RECIPE_ID,
@@ -474,6 +481,7 @@ class TestGateSkip:
         assert "gate_skipped" not in kinds
         snapshots = artifacts.output_dir / "snapshots"
         assert len(list(snapshots.iterdir())) == kinds.count("plateau_detected")
+        assert all([p.name for p in d.iterdir()] == ["manifest.json"] for d in snapshots.iterdir())
 
     def test_snapshot_and_decide_calls_pair(self, tmp_path, monkeypatch):
         # campaignbench/child.py times a plateau from its snapshot_corpus
@@ -681,6 +689,42 @@ class TestBudgetsAndDeterminism:
         assert not (tmp_path / "run").exists()
 
 
+class TestControllerOffHotPath:
+    """The paper's "controller off the hot path" in its strictest form:
+    controller-only and no-mutator never install a recipe, so their main
+    loop draws the same rng values and grows the same queue as baseline's,
+    and their fuzzer_stats and coverage.csv are byte-identical to it. A
+    plateau-path change that touches the main loop's rng or queue fails
+    here."""
+
+    @pytest.mark.parametrize("target", ["parser", "staircase"])
+    def test_matches_baseline(self, target, tmp_path):
+        def run(ablation):
+            config = CampaignConfig(
+                target=target,
+                output_dir=tmp_path / ablation,
+                ablation=ablation,
+                budget_execs=40_000,
+                rng_seed=7,
+            )
+            if target == "staircase":
+                config.providers = (StaticTokenProvider([b"XKEY1"]),)
+                config.detector = DetectorConfig(
+                    rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30
+                )
+            artifacts = run_campaign(config)
+            out = artifacts.output_dir
+            files = {name: (out / name).read_bytes() for name in ("fuzzer_stats", "coverage.csv")}
+            return files, kinds_of(artifacts)
+
+        baseline, _ = run("baseline")
+        for ablation in ("controller-only", "no-mutator"):
+            files, kinds = run(ablation)
+            assert files == baseline, ablation
+            assert "corpus_snapshot" in kinds, ablation
+        assert "micro_result" in kinds
+
+
 class TestAblations:
     def test_baseline_has_no_control_events(self, tmp_path):
         config = saturated_config(tmp_path, ablation="baseline")
@@ -766,13 +810,27 @@ class TestArtifacts:
             ).hexdigest()
             assert actual == digest
 
-    def test_snapshot_on_disk(self, tmp_path):
+    def test_snapshot_on_disk(self, tmp_path, monkeypatch):
+        # A snapshot is its manifest: the entry bytes stay in queue/, and
+        # snapshot_digest reads them back from there.
+        refs = []
+        real = controller_module.snapshot_corpus
+
+        def recorded(*args):
+            refs.append(real(*args))
+            return refs[-1]
+
+        monkeypatch.setattr(controller_module, "snapshot_corpus", recorded)
         artifacts = run_campaign(saturated_config(tmp_path))
         snap = next(e for e in artifacts.events if e.kind == "corpus_snapshot")
         snap_dir = artifacts.output_dir / "snapshots" / "cycle_01"
-        assert snap_dir.is_dir()
-        assert (snap_dir / "manifest.json").is_file()
-        assert snap.payload["entries"] == len(list(snap_dir.glob("id_*")))
+        ref = refs[0]
+        assert ref.path == snap_dir
+        assert [p.name for p in snap_dir.iterdir()] == ["manifest.json"]
+        manifest = json.loads((snap_dir / "manifest.json").read_text())
+        assert snap.payload["entries"] == len(manifest) == len(ref.entries)
+        queue = artifacts.output_dir / "queue"
+        assert snapshot_digest(ref, queue) == ref.digest == snap.payload["digest"]
 
 
 def make_blackboard(seeds=None, **overrides):

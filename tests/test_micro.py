@@ -120,15 +120,14 @@ class TestComputeReward:
 
 
 class TestSnapshot:
-    def test_copy_and_manifest(self, tmp_path):
+    def test_manifest_only(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two"), ("c", b"three")])
         ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
         assert [e.seed_id for e in ref.entries] == ["a", "b", "c"]
-        for name in ("a", "b", "c"):
-            assert (ref.path / name).read_bytes() == (queue / name).read_bytes()
+        assert [p.name for p in ref.path.iterdir()] == ["manifest.json"]
         manifest = json.loads((ref.path / "manifest.json").read_text())
-        assert len(manifest) == 3
         assert manifest == {e.seed_id: e.seed_hash for e in ref.entries}
+        assert snapshot_digest(ref, queue) == ref.digest
 
     def test_empty_queue(self, tmp_path):
         queue = tmp_path / "queue"
@@ -136,18 +135,33 @@ class TestSnapshot:
         with pytest.raises(EmptyQueue):
             snapshot_corpus(read_queue(queue), tmp_path / "snap")
 
-    def test_immutability_after_queue_changes(self, tmp_path):
+    def test_digest_reads_the_queue_bytes(self, tmp_path):
+        # The snapshot holds no copy of its entries: snapshot_digest reads
+        # them from the queue, so it sees a changed byte in an entry the
+        # manifest names, and only such a change.
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two")])
         ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
-        digest_before = snapshot_digest(ref)
-        (queue / "a").write_bytes(b"MUTATED")
         (queue / "new").write_bytes(b"added later")
-        assert snapshot_digest(ref) == digest_before == ref.digest
+        assert snapshot_digest(ref, queue) == ref.digest
+        data = bytearray((queue / "a").read_bytes())
+        data[1] ^= 0x01
+        (queue / "a").write_bytes(bytes(data))
+        assert snapshot_digest(ref, queue) != ref.digest
+        assert ref.entries[0].data == b"one"
+
+    def test_entry_named_like_the_manifest(self, tmp_path):
+        queue = fill_queue(tmp_path, [("manifest.json", b"entry bytes"), ("z", b"zz")])
+        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        manifest = json.loads((ref.path / "manifest.json").read_text())
+        assert manifest == {e.seed_id: e.seed_hash for e in ref.entries}
+        assert (queue / "manifest.json").read_bytes() == b"entry bytes"
+        assert snapshot_digest(ref, queue) == ref.digest
 
     def test_corpus_digest_is_the_snapshot_digest(self, tmp_path):
+        queue = fill_queue(tmp_path, default_seeds("parser"))
         entries = [make_entry(name, data) for name, data in default_seeds("parser")]
         ref = snapshot_corpus(entries, tmp_path / "snap")
-        assert corpus_digest(entries) == ref.digest == snapshot_digest(ref)
+        assert corpus_digest(entries) == ref.digest == snapshot_digest(ref, queue)
         assert (ref.path / "manifest.json").read_bytes() == corpus_manifest(entries)
         shuffled = entries[:]
         random.Random(0).shuffle(shuffled)
@@ -181,11 +195,11 @@ class TestEvaluateCandidate:
         # The parser seed corpus covers every reachable edge, so a
         # well-formed global candidate earns exactly 0.0.
         queue = fill_queue(tmp_path, PARSER_SEEDS)
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         candidate = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "dictionary", "c0"
         )
-        result = evaluate_candidate(candidate, ref, ParserTarget(), 1, budget_execs=400)
+        result = evaluate_candidate(candidate, entries, ParserTarget(), 1, budget_execs=400)
         assert result.delta_edges == 0
         assert result.delta_paths == 0
         assert result.delta_crashes == 0
@@ -195,14 +209,14 @@ class TestEvaluateCandidate:
 
     def test_gate_token_candidate_discovers(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         target = StaircaseTarget()
         gate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "gate")
         garbage = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "default", "garbage"
         )
-        r_gate = evaluate_candidate(gate, ref, target, 3, budget_execs=600)
-        r_garbage = evaluate_candidate(garbage, ref, target, 3, budget_execs=600)
+        r_gate = evaluate_candidate(gate, entries, target, 3, budget_execs=600)
+        r_garbage = evaluate_candidate(garbage, entries, target, 3, budget_execs=600)
         assert r_gate.delta_edges >= 4
         assert r_gate.reward > 0
         assert r_garbage.delta_edges == 0
@@ -211,7 +225,7 @@ class TestEvaluateCandidate:
 
     def test_selector_mismatch_bleeds_misses(self, tmp_path):
         queue = fill_queue(tmp_path, PARSER_SEEDS)
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         candidate = Candidate(
             recipe_with_tokens(
                 ["FUZZ"], selector={"mode": "seed_id", "key": "no-such-seed"}
@@ -219,20 +233,20 @@ class TestEvaluateCandidate:
             "seed_focus",
             "c1",
         )
-        result = evaluate_candidate(candidate, ref, ParserTarget(), 2, budget_execs=200)
+        result = evaluate_candidate(candidate, entries, ParserTarget(), 2, budget_execs=200)
         assert result.misses == 200
         assert result.reward < 0
 
     def test_budget_zero(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"x")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(BudgetZero):
-            evaluate_candidate(candidate, ref, ParserTarget(), 0, budget_execs=0)
+            evaluate_candidate(candidate, entries, ParserTarget(), 0, budget_execs=0)
 
     def test_executor_failure_wrapped(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"xy")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
 
         class Broken:
             name = "broken"
@@ -242,21 +256,21 @@ class TestEvaluateCandidate:
 
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(ExecutorFailure):
-            evaluate_candidate(candidate, ref, Broken(), 0, budget_execs=10)
+            evaluate_candidate(candidate, entries, Broken(), 0, budget_execs=10)
 
     def test_deterministic_per_seed(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        a = evaluate_candidate(candidate, ref, StaircaseTarget(), 9, budget_execs=300)
-        b = evaluate_candidate(candidate, ref, StaircaseTarget(), 9, budget_execs=300)
+        a = evaluate_candidate(candidate, entries, StaircaseTarget(), 9, budget_execs=300)
+        b = evaluate_candidate(candidate, entries, StaircaseTarget(), 9, budget_execs=300)
         assert a == b
 
     def test_reward_matches_fields(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        entries = read_queue(queue)
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        result = evaluate_candidate(candidate, ref, StaircaseTarget(), 4, budget_execs=500)
+        result = evaluate_candidate(candidate, entries, StaircaseTarget(), 4, budget_execs=500)
         assert result.reward == compute_reward(
             result.delta_edges,
             result.delta_paths,
@@ -268,10 +282,10 @@ class TestEvaluateCandidate:
         )
 
 
-def reference_evaluate(candidate, snapshot, executor, weights, rng_seed, budget_execs):
+def reference_evaluate(candidate, entries, executor, weights, rng_seed, budget_execs):
     """evaluate_candidate as it was before misses skipped the target: every
     mutation call runs the target, and a miss's result is thrown away."""
-    corpus = list(snapshot.entries)
+    corpus = list(entries)
     compact = lower_recipe(candidate.recipe)
     rng = random.Random(rng_seed)
     bitmap = EdgeBitmap(capacity=4096)
@@ -309,14 +323,14 @@ def reference_evaluate(candidate, snapshot, executor, weights, rng_seed, budget_
     )
 
 
-def proposed_candidates(snapshot):
+def proposed_candidates(entries):
     """The four rule-provider interventions and the static-token dictionary
-    recipe, proposed from a blackboard listing the snapshot's seeds."""
+    recipe, proposed from a blackboard listing these entries as seeds."""
     doc = {
         "snapshot": {
             "seeds": [
                 {"seed_id": e.seed_id, "seed_hash": e.seed_hash, "size": len(e.data)}
-                for e in snapshot.entries
+                for e in entries
             ]
         },
         "static_context": {"available": False, "tokens": []},
@@ -335,28 +349,34 @@ SNAPSHOT_SEEDS = {
 }
 
 
+def snapshot_entries(seeds):
+    """Seeds as a campaign hands them to the gate: its snapshot's entries,
+    sorted by seed_id."""
+    return tuple(sorted((make_entry(n, d) for n, d in seeds), key=lambda e: e.seed_id))
+
+
 class TestLeanGate:
     @pytest.mark.parametrize("target_name", sorted(SNAPSHOT_SEEDS))
-    def test_matches_reference_that_runs_every_miss(self, target_name, tmp_path):
+    def test_matches_reference_that_runs_every_miss(self, target_name):
         seeds, target_cls = SNAPSHOT_SEEDS[target_name]
-        ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
-        for i, candidate in enumerate(proposed_candidates(ref)):
+        entries = snapshot_entries(seeds)
+        for i, candidate in enumerate(proposed_candidates(entries)):
             counting = CountingExecutor(target_cls())
-            lean = evaluate_candidate(candidate, ref, counting, 50 + i, budget_execs=500)
+            lean = evaluate_candidate(candidate, entries, counting, 50 + i, budget_execs=500)
             reference = reference_evaluate(
-                candidate, ref, target_cls(), RewardWeights(), 50 + i, 500
+                candidate, entries, target_cls(), RewardWeights(), 50 + i, 500
             )
             assert lean == reference, candidate.candidate_id
-            assert counting.calls == len(ref.entries) + lean.execs - lean.misses
+            assert counting.calls == len(entries) + lean.execs - lean.misses
 
-    def test_cases_include_misses_and_finds(self, tmp_path):
+    def test_cases_include_misses_and_finds(self):
         # The equivalence above is only worth something if the cases hit
         # both branches the skip touches.
         seeds, target_cls = SNAPSHOT_SEEDS["staircase"]
-        ref = snapshot_corpus([make_entry(n, d) for n, d in seeds], tmp_path / "snap")
+        entries = snapshot_entries(seeds)
         results = [
-            evaluate_candidate(c, ref, target_cls(), 50 + i, budget_execs=500)
-            for i, c in enumerate(proposed_candidates(ref))
+            evaluate_candidate(c, entries, target_cls(), 50 + i, budget_execs=500)
+            for i, c in enumerate(proposed_candidates(entries))
         ]
         assert any(r.misses > 0 for r in results)
         assert any(r.hits > 0 for r in results)

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from recipefuzz import targets as T
 from recipefuzz.targets import (
     EdgeBitmap,
@@ -117,6 +119,16 @@ class TestStaircaseTarget:
         for _, data in T.STAIRCASE_SEEDS:
             cov |= t.execute(data).edges_hit
         assert cov == set(T.STAIR_BASE)
+
+
+@pytest.mark.parametrize("target", [ParserTarget(), StaircaseTarget()], ids=["parser", "staircase"])
+def test_input_over_one_mib_rejected(target):
+    assert T.MAX_INPUT == 1 << 20
+    with pytest.raises(ValueError, match="exceeds max size"):
+        target.execute(b"[" * (T.MAX_INPUT + 1))
+    # At the limit the input runs; nested brackets crash the parser at
+    # its depth budget within the first hundred bytes.
+    assert target.execute(b"[" * T.MAX_INPUT).edges_hit
 
 
 class TestEdgeBitmap:
