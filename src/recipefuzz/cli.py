@@ -130,9 +130,6 @@ def _cmd_mutate(args) -> int:
     recipe = _load_recipe(args.recipe)
     compact = lower_recipe(recipe)
     data = Path(args.input).read_bytes()
-    if not data:
-        print("error: input file is empty", file=sys.stderr)
-        return EXIT_VALIDATION
     rng = random.Random(args.seed)
     corpus = (engine.make_entry("input", data),)
     outcome = engine.mutate(compact, data, corpus, rng, args.max_size)

@@ -36,7 +36,6 @@ from .micro import (
     ExecutorFailure,
     MicroResult,
     SnapshotRef,
-    corpus_digest,
     decide_winner,
     evaluate_candidate,
     snapshot_corpus,
@@ -266,7 +265,7 @@ class _Campaign:
         self.rng = random.Random(config.rng_seed)
         self.bitmap = EdgeBitmap(capacity=config.map_capacity)
         self.queue: list[CorpusEntry] = []
-        self.favored: dict[int, tuple[int, int]] = {}  # edge slot -> (len, queue idx)
+        self.favored: dict[int, int] = {}  # edge slot -> queue idx of its holder
         self.slots_held: list[int] = []  # queue idx -> edge slots it holds in favored
         self.crash_sigs: set[frozenset[int]] = set()
 
@@ -281,22 +280,18 @@ class _Campaign:
         self.cycles_done = 0
         self.last_find = 0.0
         self.plateau_cycles = 0
-        # (cycle, snapshot digest) of the last cycle that ran the gate;
-        # None until a gated arm runs it. The queue only grows, so the
-        # corpus never returns to an earlier digest and this one is the
-        # only one a plateau can match.
-        self.judged: tuple[int, str] | None = None
+        # (cycle, snapshot) of the last cycle that ran the gate; None until
+        # a gated arm runs it. The queue only grows, so the corpus is the
+        # one that cycle judged exactly when the queue still has its length.
+        self.judged: tuple[int, SnapshotRef] | None = None
         self.promotions = 0
         self.events: list[AuditEvent] = []
         self.coverage: list[tuple[float, int]] = []
 
-        self._queue_pos = 0
-        self._cur_entry: CorpusEntry | None = None
-        self._energy = 0
+        self.schedule = self._schedule()
 
-        gate_on = config.ablation in ("rule-only", "no-mutator", "full")
-        self.detector_on = gate_on or config.ablation == "controller-only"
-        self.gate_on = gate_on
+        self.detector_on = config.ablation != "baseline"
+        self.gate_on = config.ablation in ("rule-only", "no-mutator", "full")
         self.recipes_on = config.ablation in ("rule-only", "full")
         self.providers = tuple(config.providers) if config.ablation in ("full", "no-mutator") else ()
 
@@ -306,46 +301,50 @@ class _Campaign:
         self.active = self.default_compact if self.recipes_on else None
         self.active_expires: float | None = None
 
-        for i, (name, data) in enumerate(seeds):
-            entry = make_entry(f"id_{i:06d}_{name}", data)
+        for name, data in seeds:
             try:
-                result = self.executor.execute(entry.data)
+                result = self.executor.execute(data)
             except EXECUTOR_ERRORS as exc:
                 raise ExecutorFailure(f"executor failed on seed {name!r}: {exc}") from exc
             self.execs_done += 1
             merge_into(self.bitmap, result)
-            self._admit(entry, result.edges_hit)
+            self._admit(name, data, result.edges_hit)
         self._events_fh = (self.out / "events.jsonl").open("w")
 
     # -- queue / coverage plumbing ------------------------------------
 
-    def _admit(self, entry: CorpusEntry, edges_hit: frozenset[int]) -> None:
-        """Append entry to the queue and to queue/ on disk, and give it
-        every edge slot it reaches with a shorter input than the slot's
-        current holder. An entry holding at least one slot is favored."""
+    def _admit(self, name: str, data: bytes, edges_hit: frozenset[int]) -> None:
+        """Append seed or find data to the queue as entry id_<index>_<name>,
+        write it to queue/, and give it every edge slot it reaches with a
+        shorter input than the slot's current holder, read from the queue.
+        An entry holding at least one slot is favored."""
         idx = len(self.queue)
+        entry = make_entry(f"id_{idx:06d}_{name}", data)
         self.queue.append(entry)
         self.slots_held.append(0)
-        (self.queue_dir / entry.seed_id).write_bytes(entry.data)
-        size = len(entry.data)
+        (self.queue_dir / entry.seed_id).write_bytes(data)
+        size = len(data)
         for edge in edges_hit:
             slot = edge % self.bitmap.capacity
-            held = self.favored.get(slot)
-            if held is None or size < held[0]:
-                if held is not None:
-                    self.slots_held[held[1]] -= 1
-                self.favored[slot] = (size, idx)
+            holder = self.favored.get(slot)
+            if holder is None or size < len(self.queue[holder].data):
+                if holder is not None:
+                    self.slots_held[holder] -= 1
+                self.favored[slot] = idx
                 self.slots_held[idx] += 1
 
-    def _next_entry(self) -> CorpusEntry:
+    def _schedule(self):
+        """The main loop's entries: walk the growing queue, counting a cycle
+        at each wrap, and yield each favored entry, and each other one with
+        probability 1 - SKIP_NON_FAVORED, SCHEDULE_ENERGY times in a row."""
+        idx = 0
         while True:
-            if self._queue_pos >= len(self.queue):
-                self._queue_pos = 0
+            if idx >= len(self.queue):
+                idx = 0
                 self.cycles_done += 1
-            idx = self._queue_pos
-            self._queue_pos += 1
             if self.slots_held[idx] > 0 or self.rng.random() >= SKIP_NON_FAVORED:
-                return self.queue[idx]
+                yield from (self.queue[idx],) * SCHEDULE_ENERGY
+            idx += 1
 
     def _emit(self, kind: str, payload: dict, context_hash=None, response_hash=None):
         event = AuditEvent(self.t, kind, payload, context_hash, response_hash)
@@ -356,11 +355,7 @@ class _Campaign:
     # -- main loop -----------------------------------------------------
 
     def _one_exec(self) -> None:
-        if self._energy <= 0:
-            self._cur_entry = self._next_entry()
-            self._energy = SCHEDULE_ENERGY
-        self._energy -= 1
-        entry = self._cur_entry
+        entry = next(self.schedule)
         data = mutate(self.active, entry.data, self.queue, self.rng, MAX_SIZE, seed=entry).output
         try:
             result = self.executor.execute(data)
@@ -374,27 +369,28 @@ class _Campaign:
             self.crash_sigs.add(result.edges_hit)
             return
         if new_edges > 0:
-            child = make_entry(f"id_{len(self.queue):06d}_x{self.execs_done}", data)
-            self._admit(child, result.edges_hit)
+            self._admit(f"x{self.execs_done}", data, result.edges_hit)
             self.last_find = self.t + 1.0  # credited to this frame's close
 
     def _handle_plateau(self, event) -> None:
         """Snapshot the corpus and, on a gated arm, run the gate on it.
 
-        A gated arm whose corpus still has the digest of the last gated
-        cycle's snapshot logs gate_skipped, naming that cycle, and writes
-        no snapshot: re-judging the same corpus would only redraw the
-        micro seeds. The cycle number still advances, so snapshots are
-        numbered by plateau and micro seeds keep their cycle term.
+        The queue only grows, so a gated arm whose queue has the length it
+        had at the last gated cycle holds the corpus that cycle judged. It
+        then logs gate_skipped, naming that cycle and its digest, and writes
+        no snapshot: re-judging would only redraw the micro seeds. The cycle
+        number still advances, so snapshots are numbered by plateau and
+        micro seeds keep their cycle term. Nothing here touches the main
+        loop's rng, queue or schedule.
         """
         self.plateau_cycles += 1
         cycle = self.plateau_cycles
         self._emit(K_PLATEAU, asdict(event))
         if self.judged is not None:
-            judged_cycle, judged_digest = self.judged
-            if corpus_digest(self.queue) == judged_digest:
+            judged_cycle, judged = self.judged
+            if len(judged.entries) == len(self.queue):
                 self._emit(
-                    K_GATE_SKIPPED, {"judged_cycle": judged_cycle, "digest": judged_digest}
+                    K_GATE_SKIPPED, {"judged_cycle": judged_cycle, "digest": judged.digest}
                 )
                 return
         snap_dir = self.out / "snapshots" / f"cycle_{cycle:02d}"
@@ -409,11 +405,13 @@ class _Campaign:
         )
         if not self.gate_on:
             return
-        self.judged = (cycle, snapshot.digest)
+        self.judged = (cycle, snapshot)
 
         blackboard = self._build_blackboard(snapshot, cycle)
-        ctx_hash = hash_context(blackboard)
         candidates, records = propose_candidates(blackboard, self.providers, cycle)
+        # propose_candidates hashed the blackboard once for every record; the
+        # rule provider fills every slot, so records is never empty.
+        ctx_hash = records[0]["context_hash"]
         for record in records:
             payload = {k: v for k, v in record.items() if k not in ("context_hash", "response_hash")}
             self._emit(

@@ -280,15 +280,14 @@ def mutate(
 
     Deterministic given (compact, data, corpus, rng state). When a recipe
     is installed and seed is provided, the recipe's selector is checked
-    first and a mismatch is a recorded miss. Output length stays within
+    first and a mismatch is a recorded miss. The input must be
+    1..max_size bytes (ValueError otherwise), and the output stays within
     [1, max_size] for every applied operator.
     """
     if compact is None:
         return MutationOutcome(havoc_mutate(data, rng, max_size), None, False)
-    if len(data) < 1:
-        raise ValueError("input must be at least 1 byte")
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
+    if not 1 <= len(data) <= max_size:
+        raise ValueError(f"input is {len(data)} bytes; mutate takes 1..{max_size} bytes")
     if seed is not None and not selector_matches(compact.selector, seed):
         return MutationOutcome(data, None, True)
     op = choose_operator(compact, rng)
@@ -302,10 +301,10 @@ def havoc_mutate(data: bytes, rng, max_size: int) -> bytes:
     """Recipe-free fallback: one conventional random byte/bit edit.
 
     Reached through `mutate` when no recipe is installed; the vanilla bench
-    configuration calls it directly.
+    configuration calls it directly. The input must be 1..max_size bytes.
     """
-    if len(data) < 1:
-        raise ValueError("input must be at least 1 byte")
+    if not 1 <= len(data) <= max_size:
+        raise ValueError(f"input is {len(data)} bytes; mutate takes 1..{max_size} bytes")
     kind = rng.randrange(4)
     if kind == 0:
         out = bytearray(data)

@@ -167,7 +167,9 @@ def compute_reward(
 
 
 def read_queue(queue_dir: Path | str) -> tuple[CorpusEntry, ...]:
-    """Read a queue directory into corpus entries, sorted by name."""
+    """Read a queue directory into corpus entries, sorted by name. A file
+    outside 1..MAX_SIZE bytes, which the gate cannot mutate, raises
+    ValueError naming it."""
     queue_dir = Path(queue_dir)
     try:
         entries = tuple(
@@ -179,6 +181,12 @@ def read_queue(queue_dir: Path | str) -> tuple[CorpusEntry, ...]:
         raise IoFailure(f"cannot read queue dir {queue_dir}: {exc}") from exc
     if not entries:
         raise EmptyQueue(f"queue dir {queue_dir} has no entries")
+    for entry in entries:
+        if not 1 <= len(entry.data) <= MAX_SIZE:
+            raise ValueError(
+                f"queue entry {queue_dir / entry.seed_id} is {len(entry.data)} bytes;"
+                f" entries must be 1..{MAX_SIZE} bytes"
+            )
     return entries
 
 
@@ -240,7 +248,9 @@ def evaluate_candidate(
     entries is the corpus the run starts from: a snapshot's entries in a
     campaign, a queue directory's under `recipefuzz micro`. The run uses
     its own coverage map; deltas are measured against the entries'
-    replayed baseline. The one budget is budget_execs mutation
+    replayed baseline: delta_edges and delta_crashes are the growth of the
+    map and crash set past it, and delta_paths (= hits) counts calls that
+    found new coverage. The one budget is budget_execs mutation
     calls (a campaign's micro_budget_execs, 500 by default), so the run is
     reproducible from rng_seed. The reward is weighted by REWARD.
 
@@ -273,12 +283,9 @@ def evaluate_candidate(
         merge_into(bitmap, result)
         if result.crashed:
             crash_sigs.add(result.edges_hit)
+    baseline_edges, baseline_crashes = bitmap.count, len(crash_sigs)
 
-    delta_edges = 0
-    delta_paths = 0
-    delta_crashes = 0
-    hits = 0
-    misses = 0
+    delta_paths = misses = 0
 
     for execs in range(1, budget_execs + 1):
         entry = corpus[(execs - 1) % len(corpus)]
@@ -293,25 +300,22 @@ def evaluate_candidate(
             result = executor.execute(outcome.output)
         except EXECUTOR_ERRORS as exc:
             raise ExecutorFailure(f"executor failed during micro run: {exc}") from exc
-        new_edges = merge_into(bitmap, result)
-        if result.crashed and result.edges_hit not in crash_sigs:
+        if result.crashed:
             crash_sigs.add(result.edges_hit)
-            delta_crashes += 1
-        if new_edges > 0:
-            delta_edges += new_edges
+        if merge_into(bitmap, result) > 0:
             delta_paths += 1
-            hits += 1
             if not result.crashed:
-                fresh = make_entry(f"{entry.seed_id}+{execs}", outcome.output)
-                corpus.append(fresh)
+                corpus.append(make_entry(f"{entry.seed_id}+{execs}", outcome.output))
 
-    reward = compute_reward(delta_edges, delta_paths, delta_crashes, hits, misses, REWARD)
+    delta_edges = bitmap.count - baseline_edges
+    delta_crashes = len(crash_sigs) - baseline_crashes
+    reward = compute_reward(delta_edges, delta_paths, delta_crashes, delta_paths, misses, REWARD)
     return MicroResult(
         candidate_id=candidate.candidate_id,
         delta_edges=delta_edges,
         delta_paths=delta_paths,
         delta_crashes=delta_crashes,
-        hits=hits,
+        hits=delta_paths,
         misses=misses,
         execs=budget_execs,
         reward=reward,

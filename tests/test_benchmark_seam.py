@@ -55,3 +55,38 @@ def test_benchmark_seam(tmp_path):
     entries = [make_entry(name, name.encode()) for name in ("b", "c", "a")]
     ref = controller.snapshot_corpus(entries, tmp_path / "snap")
     assert ref.entries == tuple(sorted(entries, key=lambda e: e.seed_id))
+
+
+def test_wrapped_names_are_called(tmp_path, monkeypatch):
+    # The benchmark wraps these module attributes; a call that bypasses
+    # one would leave its layer with no spans, which the traced benchmark
+    # reads as 0.0 rather than failing.
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in CONTROLLER_WRAPPED:
+        if name != "run_campaign":
+            count(controller, name)
+    for name in MICRO_WRAPPED:
+        count(micro, name)
+
+    config = controller.CampaignConfig(
+        target="staircase",
+        output_dir=tmp_path / "run",
+        budget_execs=3000,
+        rng_seed=3,
+        providers=(providers.StaticTokenProvider([b"XKEY1"]),),
+        detector=DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30),
+    )
+    controller.run_campaign(config)
+    assert all(calls.values()), calls

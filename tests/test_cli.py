@@ -209,6 +209,22 @@ class TestMutate:
         assert code == 5
         assert "weight must be numeric" in err
 
+    @pytest.mark.parametrize("size", [0, 101])
+    def test_input_outside_max_size_exits_5(self, size, tmp_path, capsys):
+        # mutate's outputs stay within 1..max_size, so it takes only such
+        # inputs: a 101-byte input with --max-size 10 used to come back
+        # 101 bytes long, with exit 0.
+        inp = tmp_path / "a"
+        inp.write_bytes(b"x" * size)
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "mutate", "--recipe", "default", "--input", str(inp),
+            "--max-size", "10", "--out", str(out),
+        )
+        assert code == 5
+        assert f"input is {size} bytes; mutate takes 1..10 bytes" in err
+        assert not out.exists()
+
 
 def micro_fields(stdout):
     return dict(
@@ -288,6 +304,24 @@ class TestMicro:
                   "--snapshot-dir", str(tmp_path / "snap")])
         assert exc.value.code == 2
         assert not (tmp_path / "snap").exists()
+
+    @pytest.mark.parametrize("size", [0, micro.MAX_SIZE + 1], ids=["empty", "oversized"])
+    def test_queue_entry_outside_max_size_exits_5(self, size, tmp_path, capsys, monkeypatch):
+        # The gate mutates every queue entry, so an entry its mutate cannot
+        # take is rejected, by name, before anything runs.
+        queue = tmp_path / "queue"
+        queue.mkdir()
+        (queue / "a").write_bytes(b"[1, 2]")
+        (queue / "bad").write_bytes(b"x" * size)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the gate ran")
+
+        monkeypatch.setattr(micro, "evaluate_candidate", never)
+        code, out, err = run_cli(capsys, "micro", "--queue", str(queue), "--recipe", "default")
+        assert code == 5
+        assert f"queue entry {queue / 'bad'} is {size} bytes" in err
+        assert out == ""
 
     def test_empty_queue_exits_5(self, tmp_path, capsys):
         queue = tmp_path / "queue"

@@ -486,8 +486,9 @@ class TestGateSkip:
     def test_snapshot_and_decide_calls_pair(self, tmp_path, monkeypatch):
         # campaignbench/child.py times a plateau from its snapshot_corpus
         # call to the next decide_winner return, so a gated arm must make
-        # the two calls equally often.
-        calls = {"snapshot_corpus": 0, "decide_winner": 0}
+        # the two calls equally often. The blackboard is hashed once per
+        # gated plateau too.
+        calls = {"snapshot_corpus": 0, "decide_winner": 0, "hash_context": 0}
 
         def counted(name):
             real = getattr(controller_module, name)
@@ -500,8 +501,9 @@ class TestGateSkip:
 
         counted("snapshot_corpus")
         counted("decide_winner")
+        counted("hash_context")
         artifacts = run_golden("staircase", tmp_path)
-        assert calls["snapshot_corpus"] == calls["decide_winner"] == 2
+        assert calls["snapshot_corpus"] == calls["decide_winner"] == calls["hash_context"] == 2
         assert kinds_of(artifacts).count("gate_skipped") > 0
 
 
@@ -512,7 +514,7 @@ class TestAdmission:
         campaign = _Campaign(config, executor, seeds)
         campaign.run()
         # Reference: the favored set rebuilt from scratch out of the slot map.
-        favored_set = {idx for _, idx in campaign.favored.values()}
+        favored_set = set(campaign.favored.values())
         assert len(campaign.slots_held) == len(campaign.queue)
         assert {i for i, n in enumerate(campaign.slots_held) if n > 0} == favored_set
         assert sum(campaign.slots_held) == len(campaign.favored)
@@ -695,9 +697,14 @@ class TestControllerOffHotPath:
     loop draws the same rng values and grows the same queue as baseline's,
     and their fuzzer_stats and coverage.csv are byte-identical to it. A
     plateau-path change that touches the main loop's rng or queue fails
-    here."""
+    here.
 
-    @pytest.mark.parametrize("target", ["parser", "staircase"])
+    The parser seeds saturate their target, so that case cannot see the
+    rng; the bigram case never saturates, so every main-loop rng draw and
+    schedule step shows in its output, and its detector, re-armed every
+    100 s, fires on a corpus of up to about 2,000 entries."""
+
+    @pytest.mark.parametrize("target", ["parser", "staircase", "bigram"])
     def test_matches_baseline(self, target, tmp_path):
         def run(ablation):
             config = CampaignConfig(
@@ -707,12 +714,20 @@ class TestControllerOffHotPath:
                 budget_execs=40_000,
                 rng_seed=7,
             )
+            executor = seeds = None
             if target == "staircase":
                 config.providers = (StaticTokenProvider([b"XKEY1"]),)
                 config.detector = DetectorConfig(
                     rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=30
                 )
-            artifacts = run_campaign(config)
+            if target == "bigram":
+                config.budget_execs = 3000
+                config.map_capacity = 1 << 16
+                config.detector = DetectorConfig(
+                    theta_paths=1 << 30, rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=100
+                )
+                executor, seeds = BigramExecutor(), (("hello", b"hello world"),)
+            artifacts = run_campaign(config, executor, seeds)
             out = artifacts.output_dir
             files = {name: (out / name).read_bytes() for name in ("fuzzer_stats", "coverage.csv")}
             return files, kinds_of(artifacts)

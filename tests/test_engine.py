@@ -422,6 +422,17 @@ class TestHavocAndDispatch:
             assert out.output == havoc_mutate(data, via_havoc, 64)
             assert via_mutate.getstate() == via_havoc.getstate()
 
+    @pytest.mark.parametrize("size,max_size", [(0, 10), (11, 10), (1, 0)])
+    @pytest.mark.parametrize("recipe", [False, True], ids=["havoc", "recipe"])
+    def test_input_outside_max_size_rejected(self, size, max_size, recipe):
+        compact = compact_from() if recipe else None
+        rng = random.Random(0)
+        with pytest.raises(ValueError, match=f"input is {size} bytes"):
+            mutate(compact, b"x" * size, CORPUS, rng, max_size)
+        with pytest.raises(ValueError, match=f"input is {size} bytes"):
+            havoc_mutate(b"x" * size, rng, max_size)
+        assert rng.getstate() == random.Random(0).getstate()
+
 
 class TestBench:
     def test_zero_calls(self):

@@ -1,5 +1,6 @@
 """Micro-campaign gate: snapshots, reward, candidate evaluation, winner."""
 
+import functools
 import hashlib
 import json
 import random
@@ -345,6 +346,9 @@ def proposed_candidates(entries):
 
 SNAPSHOT_SEEDS = {
     "parser": (PARSER_SEEDS, ParserTarget),
+    # A shallow crash depth: the replay crashes, and a candidate finds a
+    # new crash signature, so delta_crashes is not always 0.
+    "parser-crash": (PARSER_SEEDS, functools.partial(ParserTarget, crash_depth=8)),
     "staircase": (STAIRCASE_SEEDS, StaircaseTarget),
 }
 
@@ -380,6 +384,19 @@ class TestLeanGate:
         ]
         assert any(r.misses > 0 for r in results)
         assert any(r.hits > 0 for r in results)
+
+    def test_cases_include_new_crashes(self):
+        # delta_crashes is the crash set's growth past the replay, so the
+        # equivalence needs a case whose replay crashes and whose run then
+        # finds a crash signature the replay did not.
+        seeds, target_cls = SNAPSHOT_SEEDS["parser-crash"]
+        entries = snapshot_entries(seeds)
+        assert any(target_cls().execute(e.data).crashed for e in entries)
+        results = [
+            evaluate_candidate(c, entries, target_cls(), 50 + i, budget_execs=500)
+            for i, c in enumerate(proposed_candidates(entries))
+        ]
+        assert any(r.delta_crashes > 0 for r in results)
 
 
 def mk_result(cid, reward):
