@@ -178,6 +178,8 @@ def _bench_corpus(size: int, seed: int) -> tuple[engine.CorpusEntry, ...]:
 
 
 def _cmd_microbench(args) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be >= 1, got {args.reps}")
     corpus = _bench_corpus(args.corpus_size, args.seed)
     active = lower_recipe(parse_recipe(providers.default_recipe_doc()))
     configs = list(engine.BENCH_CONFIGS) if args.config == "all" else [args.config]

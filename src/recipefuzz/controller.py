@@ -29,15 +29,14 @@ from pathlib import Path
 from .engine import CorpusEntry, make_entry, mutate
 from .micro import (
     Candidate,
-    EXECUTOR_ERRORS,
     INTERVENTIONS,
     MAX_SIZE,
     REWARD,
-    ExecutorFailure,
     MicroResult,
     SnapshotRef,
     decide_winner,
     evaluate_candidate,
+    run_input,
     snapshot_corpus,
 )
 from .plateau import (
@@ -302,10 +301,7 @@ class _Campaign:
         self.active_expires: float | None = None
 
         for name, data in seeds:
-            try:
-                result = self.executor.execute(data)
-            except EXECUTOR_ERRORS as exc:
-                raise ExecutorFailure(f"executor failed on seed {name!r}: {exc}") from exc
+            result = run_input(self.executor, data, self.crash_sigs, name)
             self.execs_done += 1
             merge_into(self.bitmap, result)
             self._admit(name, data, result.edges_hit)
@@ -357,18 +353,9 @@ class _Campaign:
     def _one_exec(self) -> None:
         entry = next(self.schedule)
         data = mutate(self.active, entry.data, self.queue, self.rng, MAX_SIZE, seed=entry).output
-        try:
-            result = self.executor.execute(data)
-        except EXECUTOR_ERRORS as exc:
-            raise ExecutorFailure(
-                f"executor failed at exec {self.execs_done + 1}: {exc}"
-            ) from exc
+        result = run_input(self.executor, data, self.crash_sigs, entry.seed_id)
         self.execs_done += 1
-        new_edges = merge_into(self.bitmap, result)
-        if result.crashed:
-            self.crash_sigs.add(result.edges_hit)
-            return
-        if new_edges > 0:
+        if merge_into(self.bitmap, result) > 0 and not result.crashed:
             self._admit(f"x{self.execs_done}", data, result.edges_hit)
             self.last_find = self.t + 1.0  # credited to this frame's close
 
@@ -597,8 +584,10 @@ def run_campaign(
     snapshot, since re-judging that corpus would only redraw the micro
     seeds. Providers therefore see one blackboard per distinct corpus.
 
-    An executor that fails on a seed or a main-loop input raises
-    ExecutorFailure (the CLI's exit 4), as in a micro-campaign.
+    Every input runs through micro.run_input, as the gate's do: a crash,
+    a crashing seed's included, counts once per edge set in run_completed,
+    and a failing executor or a broken result raises ExecutorFailure (the
+    CLI's exit 4) naming the input's origin.
     """
     validate_config(config)
     if executor is None:

@@ -66,13 +66,33 @@ class ExecutorFailure(Exception):
 
 
 # What a failing executor raises: I/O errors, the target's own errors on
-# an input, a broken result. Each is re-raised as ExecutorFailure. An
-# exception class of the caller's own that is outside these families (one
-# raised through execute to stop a run early, say) passes through as is.
+# an input, a broken result (one with no crashed or edges_hit). run_input
+# re-raises each as ExecutorFailure. An exception class of the caller's own
+# that is outside these families (one raised through execute to stop a run
+# early, say) passes through as is.
 EXECUTOR_ERRORS = (
     OSError, EOFError, ArithmeticError, AssertionError, AttributeError,
     LookupError, MemoryError, RuntimeError, TypeError, ValueError,
 )
+
+
+def run_input(executor, data: bytes, crash_sigs: set[frozenset[int]], where: str):
+    """Execute one input: the only call to executor.execute.
+
+    A crash adds its edge set to crash_sigs, so crashes are counted once
+    per distinct signature (uniqueness by coverage, not triage). A failure
+    in the EXECUTOR_ERRORS families, a broken result included, raises
+    ExecutorFailure naming where, the input's origin: the seed or corpus
+    entry it is, or the entry it was mutated from.
+    """
+    try:
+        result = executor.execute(data)
+        edges, crashed = result.edges_hit, result.crashed
+        if crashed:
+            crash_sigs.add(edges)
+    except EXECUTOR_ERRORS as exc:
+        raise ExecutorFailure(f"executor failed on an input from {where!r}: {exc}") from exc
+    return result
 
 
 class EmptyResults(ValueError):
@@ -257,7 +277,7 @@ def evaluate_candidate(
     Each mutation call spends one exec of the budget. A miss is charged
     without running the target, since its output is an unchanged corpus
     entry; result.execs counts mutation calls, and the target runs
-    len(entries) + execs - misses times.
+    len(entries) + execs - misses times, each through run_input.
     """
     if budget_execs <= 0:
         raise BudgetZero(f"budget_execs must be > 0, got {budget_execs}")
@@ -269,20 +289,12 @@ def evaluate_candidate(
     compact = lower_recipe(candidate.recipe)
     rng = random.Random(rng_seed)
     bitmap = EdgeBitmap(capacity=map_capacity)
-    # Crashes are counted once per distinct edge-set signature (uniqueness
-    # by coverage, not triage).
     crash_sigs: set[frozenset[int]] = set()
 
     # Replay the entries to establish the baseline the deltas are
     # measured against.
     for entry in corpus:
-        try:
-            result = executor.execute(entry.data)
-        except EXECUTOR_ERRORS as exc:
-            raise ExecutorFailure(f"executor failed on corpus entry: {exc}") from exc
-        merge_into(bitmap, result)
-        if result.crashed:
-            crash_sigs.add(result.edges_hit)
+        merge_into(bitmap, run_input(executor, entry.data, crash_sigs, entry.seed_id))
     baseline_edges, baseline_crashes = bitmap.count, len(crash_sigs)
 
     delta_paths = misses = 0
@@ -296,12 +308,7 @@ def evaluate_candidate(
             # target is not run again: the miss only spends budget.
             misses += 1
             continue
-        try:
-            result = executor.execute(outcome.output)
-        except EXECUTOR_ERRORS as exc:
-            raise ExecutorFailure(f"executor failed during micro run: {exc}") from exc
-        if result.crashed:
-            crash_sigs.add(result.edges_hit)
+        result = run_input(executor, outcome.output, crash_sigs, entry.seed_id)
         if merge_into(bitmap, result) > 0:
             delta_paths += 1
             if not result.crashed:

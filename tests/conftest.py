@@ -230,3 +230,19 @@ class CountingExecutor:
         if self.calls == self.fail_at:
             raise self.exc
         return self.target.execute(data)
+
+
+class BrokenResultExecutor(CountingExecutor):
+    """Returns result in place of an ExecResult at call fail_at (counted
+    from 1, seeds included): None by default, which has neither crashed
+    nor edges_hit."""
+
+    def __init__(self, target, fail_at: int, result=None):
+        super().__init__(target, fail_at)
+        self.result = result
+
+    def execute(self, data: bytes):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            return self.result
+        return self.target.execute(data)

@@ -7,7 +7,7 @@ when a rename or a dropped field would break it.
 from recipefuzz import controller, micro, providers
 from recipefuzz.engine import BENCH_CONFIGS, bench_dispatch, make_entry
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
-from recipefuzz.targets import ExecResult
+from recipefuzz.targets import ExecResult, default_seeds, get_target
 
 CONTROLLER_WRAPPED = (
     "mutate",
@@ -90,3 +90,36 @@ def test_wrapped_names_are_called(tmp_path, monkeypatch):
     )
     controller.run_campaign(config)
     assert all(calls.values()), calls
+
+
+def test_seeds_are_the_first_executes(tmp_path, monkeypatch):
+    # child.mark_first_loop_exec times set-up up to execute call
+    # len(seeds) + 1, taking the first len(seeds) calls to be the seeds,
+    # in order. An extra set-up execute would shift that mark silently.
+    executed = []
+
+    class Recording:
+        def execute(self, data):
+            executed.append(data)
+            return target.execute(data)
+
+    seen_at_first_mutate = []
+    real_mutate = controller.mutate
+
+    def mutate(*args, **kwargs):
+        if not seen_at_first_mutate:
+            seen_at_first_mutate.append(len(executed))
+        return real_mutate(*args, **kwargs)
+
+    monkeypatch.setattr(controller, "mutate", mutate)
+    target = get_target("staircase")
+    seeds = default_seeds("staircase")
+    config = controller.CampaignConfig(
+        target="staircase",
+        output_dir=tmp_path / "run",
+        budget_execs=len(seeds) + 8,
+        rng_seed=0,
+    )
+    controller.run_campaign(config, Recording(), seeds)
+    assert executed[: len(seeds)] == [data for _, data in seeds]
+    assert seen_at_first_mutate == [len(seeds)]

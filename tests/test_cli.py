@@ -355,6 +355,20 @@ class TestMicrobench:
         code, _, _ = run_cli(capsys, "microbench", "--calls", "0", "--reps", "1")
         assert code == 5
 
+    @pytest.mark.parametrize("config", ["vanilla", "all"])
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_5(self, config, reps, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("timed with no reps")
+
+        monkeypatch.setattr(engine, "bench_dispatch", never)
+        code, out, err = run_cli(
+            capsys, "microbench", "--config", config, "--reps", reps, "--calls", "100",
+        )
+        assert code == 5
+        assert "--reps" in err
+        assert out == ""
+
 
 class TestExtractDict:
     def test_extraction_to_file(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import recipefuzz.controller as controller_module
+import recipefuzz.micro as micro_module
 from recipefuzz.controller import (
     CampaignConfig,
     ConfigInvalid,
@@ -37,9 +38,15 @@ from recipefuzz.providers import (
 )
 from recipefuzz.recipe import OperatorKind
 from recipefuzz.stats import parse_run_dir
-from recipefuzz.targets import ExecResult, ParserTarget, default_seeds
+from recipefuzz.targets import (
+    PARSER_SEEDS,
+    ExecResult,
+    ParserTarget,
+    StaircaseTarget,
+    default_seeds,
+)
 
-from conftest import CountingExecutor
+from conftest import BrokenResultExecutor, CountingExecutor
 
 
 def saturated_config(tmp_path, **overrides):
@@ -578,6 +585,12 @@ class StopRun(Exception):
     """A caller's own exception, raised through execute to stop a run."""
 
 
+class NoEdges:
+    """A non-crashing executor result with no edges_hit."""
+
+    crashed = False
+
+
 class TestExecutorFailure:
     SEEDS = len(default_seeds("parser"))
 
@@ -602,6 +615,61 @@ class TestExecutorFailure:
         stop = StopRun()
         with pytest.raises(StopRun):
             run_campaign(saturated_config(tmp_path), CountingExecutor(ParserTarget(), self.SEEDS + 1, stop))
+
+    @pytest.mark.parametrize(
+        "fail_at, result",
+        [(1, None), (SEEDS, None), (SEEDS + 1, None), (SEEDS + 20, None), (SEEDS + 1, NoEdges())],
+        ids=["first-seed", "last-seed", "first-loop-exec", "loop", "loop-no-edges"],
+    )
+    def test_broken_result_raises_executor_failure(self, fail_at, result, tmp_path):
+        # Reading the missing crashed or edges_hit is the original error,
+        # raised where the result is read, not later in merge_into. The
+        # message names the input's origin.
+        executor = BrokenResultExecutor(ParserTarget(), fail_at, result)
+        with pytest.raises(ExecutorFailure) as info:
+            run_campaign(saturated_config(tmp_path), executor)
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert executor.calls == fail_at
+        if fail_at <= self.SEEDS:
+            assert repr(PARSER_SEEDS[fail_at - 1][0]) in str(info.value)
+        else:
+            assert "from 'id_" in str(info.value)
+
+
+class TestOneExecutionPath:
+    def test_crashing_seed_is_counted(self, tmp_path):
+        # deep_ok nests 10 deep, past crash_depth 8: it crashes, is counted
+        # once, and is admitted to queue/ like every other seed.
+        config = CampaignConfig(
+            target="parser", output_dir=tmp_path / "run", ablation="baseline",
+            budget_execs=25, rng_seed=1,
+        )
+        artifacts = run_campaign(config, ParserTarget(crash_depth=8), PARSER_SEEDS)
+        completed = next(e for e in artifacts.events if e.kind == "run_completed")
+        assert completed.payload["crashes"] == 1
+        index = [name for name, _ in PARSER_SEEDS].index("deep_ok")
+        assert (artifacts.output_dir / "queue" / f"id_{index:06d}_deep_ok").is_file()
+
+    def test_every_execute_goes_through_run_input(self, tmp_path, monkeypatch):
+        # The re-armed golden staircase campaign runs seeds, main loop,
+        # gate replays and gate mutation loops, and skips judged corpora.
+        real = micro_module.run_input
+        steps = 0
+
+        def counted(*args, **kwargs):
+            nonlocal steps
+            steps += 1
+            return real(*args, **kwargs)
+
+        for module in (micro_module, controller_module):
+            monkeypatch.setattr(module, "run_input", counted)
+        _, config, _, _ = next(c for c in golden_campaigns() if c[0] == "staircase")
+        config.output_dir = tmp_path / "run"
+        executor = CountingExecutor(StaircaseTarget())
+        artifacts = run_campaign(config, executor)
+        kinds = kinds_of(artifacts)
+        assert "gate_skipped" in kinds and "micro_result" in kinds
+        assert steps == executor.calls > artifacts.execs_done
 
 
 class TestBudgetsAndDeterminism:

@@ -40,7 +40,7 @@ from recipefuzz.targets import (
 )
 from recipefuzz.targets import PARSER_SEEDS, STAIRCASE_SEEDS
 
-from conftest import CountingExecutor
+from conftest import BrokenResultExecutor, CountingExecutor
 
 
 def recipe_with_tokens(tokens, selector=None, recipe_id="cand"):
@@ -258,6 +258,20 @@ class TestEvaluateCandidate:
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(ExecutorFailure):
             evaluate_candidate(candidate, entries, Broken(), 0, budget_execs=10)
+
+    @pytest.mark.parametrize("fail_at", [1, len(PARSER_SEEDS) + 1], ids=["replay", "mutation-loop"])
+    def test_broken_result_is_executor_failure(self, fail_at):
+        # Call fail_at returns None: in the replay of the entries, or at
+        # the first target run of the mutation loop.
+        entries = snapshot_entries(PARSER_SEEDS)
+        executor = BrokenResultExecutor(ParserTarget(), fail_at)
+        candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
+        with pytest.raises(ExecutorFailure) as info:
+            evaluate_candidate(candidate, entries, executor, 0, budget_execs=50)
+        assert isinstance(info.value.__cause__, AttributeError)
+        assert executor.calls == fail_at
+        if fail_at == 1:
+            assert repr(entries[0].seed_id) in str(info.value)
 
     def test_deterministic_per_seed(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
