@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mut.add_argument("--input", required=True)
     p_mut.add_argument("--seed", type=int, default=0)
     p_mut.add_argument("--out", default=None, help="output file (stdout as raw bytes when omitted)")
-    p_mut.add_argument("--max-size", type=int, default=4096)
+    p_mut.add_argument("--max-size", type=int, default=micro.MAX_SIZE)
 
     p_micro = sub.add_parser("micro", help="evaluate one candidate recipe against a queue directory")
     p_micro.add_argument("--target", default="parser")

@@ -69,6 +69,10 @@ SKIP_NON_FAVORED = 0.75
 # executions per telemetry frame (one virtual second).
 FRAME_EXECS = 4
 
+# The most inputs a campaign remembers having run before it forgets them
+# all; an input it forgot runs again, which changes no artifact.
+RAN_CAP = 8192
+
 
 class ConfigInvalid(ValueError):
     pass
@@ -267,6 +271,10 @@ class _Campaign:
         self.favored: dict[int, int] = {}  # edge slot -> queue idx of its holder
         self.slots_held: list[int] = []  # queue idx -> edge slots it holds in favored
         self.crash_sigs: set[frozenset[int]] = set()
+        # Inputs the target has run, compared by their bytes. For a
+        # deterministic executor a repeat cannot add a bitmap slot, a crash
+        # signature or a queue entry, so the main loop does not run it.
+        self.ran: set[bytes] = set()
 
         self.t = 0.0
         self.execs_done = 0
@@ -305,6 +313,7 @@ class _Campaign:
             self.execs_done += 1
             merge_into(self.bitmap, result)
             self._admit(name, data, result.edges_hit)
+            self.ran.add(data)
         self._events_fh = (self.out / "events.jsonl").open("w")
 
     # -- queue / coverage plumbing ------------------------------------
@@ -353,8 +362,13 @@ class _Campaign:
     def _one_exec(self) -> None:
         entry = next(self.schedule)
         data = mutate(self.active, entry.data, self.queue, self.rng, MAX_SIZE, seed=entry).output
-        result = run_input(self.executor, data, self.crash_sigs, entry.seed_id)
         self.execs_done += 1
+        if data in self.ran:
+            return
+        if len(self.ran) >= RAN_CAP:
+            self.ran.clear()
+        self.ran.add(data)
+        result = run_input(self.executor, data, self.crash_sigs, entry.seed_id)
         if merge_into(self.bitmap, result) > 0 and not result.crashed:
             self._admit(f"x{self.execs_done}", data, result.edges_hit)
             self.last_find = self.t + 1.0  # credited to this frame's close
@@ -588,6 +602,14 @@ def run_campaign(
     a crashing seed's included, counts once per edge set in run_completed,
     and a failing executor or a broken result raises ExecutorFailure (the
     CLI's exit 4) naming the input's origin.
+
+    execs_done counts the seeds plus the main-loop iterations, and the
+    target runs at most that many times: an iteration whose input the
+    campaign has already run (it remembers up to RAN_CAP inputs, by their
+    bytes, then forgets them all) spends its exec, rng draws and frame
+    clock as before but skips the target. For a deterministic executor a
+    repeat adds no coverage, crash or queue entry, so every artifact is
+    the same as if it had run.
     """
     validate_config(config)
     if executor is None:

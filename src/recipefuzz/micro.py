@@ -18,10 +18,12 @@ A well-formed recipe on a fully saturated corpus therefore scores exactly
 scores positive.
 
 A micro-campaign has one budget, an exec count, so a snapshot, recipe and
-seed always give the same result. The budget counts mutation calls. A miss is charged to it
-without running the target: its output is a corpus entry that has already
-run. So MicroResult.execs is the budget spent, not the number of target
-runs.
+seed always give the same result. The budget counts mutation calls. The
+target runs each distinct input once: a call whose output has already run
+in this micro-campaign (a miss hands back its entry unchanged, and a
+mutation can repeat) is charged to the budget without a target run, since
+for a deterministic executor a repeat finds nothing. So MicroResult.execs
+is the budget spent, not the number of target runs.
 """
 
 from __future__ import annotations
@@ -274,10 +276,11 @@ def evaluate_candidate(
     calls (a campaign's micro_budget_execs, 500 by default), so the run is
     reproducible from rng_seed. The reward is weighted by REWARD.
 
-    Each mutation call spends one exec of the budget. A miss is charged
-    without running the target, since its output is an unchanged corpus
-    entry; result.execs counts mutation calls, and the target runs
-    len(entries) + execs - misses times, each through run_input.
+    Each mutation call spends one exec of the budget. An output that has
+    run already, the replay included, is charged without running the
+    target again; result.execs counts mutation calls, and the target runs
+    once per entry plus once per distinct new output, each through
+    run_input.
     """
     if budget_execs <= 0:
         raise BudgetZero(f"budget_execs must be > 0, got {budget_execs}")
@@ -296,18 +299,19 @@ def evaluate_candidate(
     for entry in corpus:
         merge_into(bitmap, run_input(executor, entry.data, crash_sigs, entry.seed_id))
     baseline_edges, baseline_crashes = bitmap.count, len(crash_sigs)
+    ran = {entry.data for entry in corpus}
 
     delta_paths = misses = 0
 
     for execs in range(1, budget_execs + 1):
         entry = corpus[(execs - 1) % len(corpus)]
         outcome = mutate(compact, entry.data, corpus, rng, MAX_SIZE, seed=entry)
-        if outcome.miss:
-            # A miss hands back its corpus entry unchanged, and every entry
-            # has run already (in the replay, or when it was found), so the
-            # target is not run again: the miss only spends budget.
-            misses += 1
+        misses += outcome.miss
+        # An input that has run already (a miss hands back its entry
+        # unchanged) can find nothing new, so it only spends budget.
+        if outcome.output in ran:
             continue
+        ran.add(outcome.output)
         result = run_input(executor, outcome.output, crash_sigs, entry.seed_id)
         if merge_into(bitmap, result) > 0:
             delta_paths += 1

@@ -129,7 +129,7 @@ def observe(state: DetectorState, frame: TelemetryFrame) -> DetectorState:
             anchor = i
         else:
             break
-    return replace(state, frames=frames[anchor:])
+    return DetectorState(frames[anchor:], state.last_fired_at)
 
 
 def _armed(state: DetectorState, config: DetectorConfig, now: float) -> bool:

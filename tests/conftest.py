@@ -232,6 +232,19 @@ class CountingExecutor:
         return self.target.execute(data)
 
 
+class RecordingExecutor(CountingExecutor):
+    """A CountingExecutor that also keeps every input it executes, in
+    order."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.inputs: list[bytes] = []
+
+    def execute(self, data: bytes):
+        self.inputs.append(data)
+        return super().execute(data)
+
+
 class BrokenResultExecutor(CountingExecutor):
     """Returns result in place of an ExecResult at call fail_at (counted
     from 1, seeds included): None by default, which has neither crashed

@@ -225,6 +225,14 @@ class TestMutate:
         assert f"input is {size} bytes; mutate takes 1..10 bytes" in err
         assert not out.exists()
 
+    def test_default_max_size_is_the_campaign_limit(self, tmp_path, capsys):
+        inp = tmp_path / "a"
+        size = micro.MAX_SIZE
+        inp.write_bytes(b"x" * (size + 1))
+        code, _, err = run_cli(capsys, "mutate", "--recipe", "default", "--input", str(inp))
+        assert code == 5
+        assert f"input is {size + 1} bytes; mutate takes 1..{size} bytes" in err
+
 
 def micro_fields(stdout):
     return dict(

@@ -636,6 +636,23 @@ class TestExecutorFailure:
             assert "from 'id_" in str(info.value)
 
 
+def flag_gate_runs(monkeypatch):
+    """Wrap controller.evaluate_candidate; the returned one-item list
+    holds True while a gate run is in progress."""
+    real = controller_module.evaluate_candidate
+    flag = [False]
+
+    def evaluate(*args, **kwargs):
+        flag[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            flag[0] = False
+
+    monkeypatch.setattr(controller_module, "evaluate_candidate", evaluate)
+    return flag
+
+
 class TestOneExecutionPath:
     def test_crashing_seed_is_counted(self, tmp_path):
         # deep_ok nests 10 deep, past crash_depth 8: it crashes, is counted
@@ -654,11 +671,13 @@ class TestOneExecutionPath:
         # The re-armed golden staircase campaign runs seeds, main loop,
         # gate replays and gate mutation loops, and skips judged corpora.
         real = micro_module.run_input
-        steps = 0
+        steps = gate_steps = 0
+        in_gate = flag_gate_runs(monkeypatch)
 
         def counted(*args, **kwargs):
-            nonlocal steps
+            nonlocal steps, gate_steps
             steps += 1
+            gate_steps += in_gate[0]
             return real(*args, **kwargs)
 
         for module in (micro_module, controller_module):
@@ -669,7 +688,59 @@ class TestOneExecutionPath:
         artifacts = run_campaign(config, executor)
         kinds = kinds_of(artifacts)
         assert "gate_skipped" in kinds and "micro_result" in kinds
-        assert steps == executor.calls > artifacts.execs_done
+        assert steps == executor.calls
+        assert gate_steps > 0
+
+
+class TestRunsEachInputOnce:
+    def test_main_loop_runs_each_distinct_input_once(self, tmp_path, monkeypatch):
+        # The golden parser corpus is saturated, so most main-loop outputs
+        # repeat an input: a miss's unchanged entry, or a mutation seen
+        # before. Seeds and main loop run each distinct input once, in the
+        # order it first appears.
+        real_mutate = controller_module.mutate
+        produced, main_inputs = [], []
+        in_gate = flag_gate_runs(monkeypatch)
+
+        def mutate(*args, **kwargs):
+            outcome = real_mutate(*args, **kwargs)
+            produced.append(outcome.output)
+            return outcome
+
+        class Recording:
+            def execute(self, data):
+                if not in_gate[0]:
+                    main_inputs.append(data)
+                return target.execute(data)
+
+        monkeypatch.setattr(controller_module, "mutate", mutate)
+        target = ParserTarget()
+        seeds = default_seeds("parser")
+        _, config, _, _ = next(c for c in golden_campaigns() if c[0] == "parser")
+        config.output_dir = tmp_path / "run"
+        artifacts = run_campaign(config, Recording(), seeds)
+        distinct = list(dict.fromkeys([data for _, data in seeds] + produced))
+        assert main_inputs == distinct
+        assert len(produced) == artifacts.execs_done - len(seeds)
+        assert len(main_inputs) < artifacts.execs_done
+
+    def test_forgetting_runs_changes_no_artifact(self, tmp_path, monkeypatch):
+        # A campaign that forgets the inputs it ran every 16 runs them
+        # again, and writes the same artifacts. Both runs write to the
+        # same relative path, as logged snapshot paths embed it.
+        def run(cap, name):
+            monkeypatch.setattr(controller_module, "RAN_CAP", cap)
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            _, config, _, _ = next(c for c in golden_campaigns() if c[0] == "staircase")
+            executor = CountingExecutor(StaircaseTarget())
+            artifacts = run_campaign(config, executor)
+            return artifact_sha256(artifacts.output_dir), executor.calls
+
+        default, default_calls = run(controller_module.RAN_CAP, "default")
+        small, small_calls = run(16, "small")
+        assert small == default == GOLDEN["staircase"]
+        assert small_calls > default_calls
 
 
 class TestBudgetsAndDeterminism:

@@ -40,7 +40,7 @@ from recipefuzz.targets import (
 )
 from recipefuzz.targets import PARSER_SEEDS, STAIRCASE_SEEDS
 
-from conftest import BrokenResultExecutor, CountingExecutor
+from conftest import BrokenResultExecutor, CountingExecutor, RecordingExecutor
 
 
 def recipe_with_tokens(tokens, selector=None, recipe_id="cand"):
@@ -381,11 +381,12 @@ class TestLeanGate:
         for i, candidate in enumerate(proposed_candidates(entries)):
             counting = CountingExecutor(target_cls())
             lean = evaluate_candidate(candidate, entries, counting, 50 + i, budget_execs=500)
+            recording = RecordingExecutor(target_cls())
             reference = reference_evaluate(
-                candidate, entries, target_cls(), RewardWeights(), 50 + i, 500
+                candidate, entries, recording, RewardWeights(), 50 + i, 500
             )
             assert lean == reference, candidate.candidate_id
-            assert counting.calls == len(entries) + lean.execs - lean.misses
+            assert counting.calls == len(set(recording.inputs))
 
     def test_cases_include_misses_and_finds(self):
         # The equivalence above is only worth something if the cases hit
