@@ -1,8 +1,9 @@
 """Campaign controller.
 
 Runs the in-process coverage-guided main loop over an executor, feeds the
-plateau detector one telemetry frame per virtual second, and on a plateau
-runs the full intervention pipeline: corpus snapshot, candidate proposals,
+plateau detector one telemetry frame per virtual second (none after a
+once-per-campaign detector has fired), and on a plateau runs the full
+intervention pipeline: corpus snapshot, candidate proposals,
 micro-campaign gate, promote-or-skip. The gate judges each distinct
 corpus once: a plateau that finds the corpus the last gated cycle judged
 logs gate_skipped and leaves the active recipe as it is, since a
@@ -40,6 +41,7 @@ from .micro import (
     snapshot_corpus,
 )
 from .plateau import (
+    ONCE_PER_CAMPAIGN,
     THETA_EXECS,
     WINDOW_SEC,
     DetectorConfig,
@@ -507,6 +509,11 @@ class _Campaign:
         event, self.detector_state = check_plateau(self.detector_state, self.config.detector)
         if event is not None:
             self._handle_plateau(event)
+            # A once-per-campaign detector never fires again and nothing
+            # else reads its frames, so later frames stop at the coverage
+            # row, as on baseline.
+            if self.config.detector.rearm_policy == ONCE_PER_CAMPAIGN:
+                self.detector_on = False
 
     def run(self) -> RunArtifacts:
         try:
@@ -597,6 +604,8 @@ def run_campaign(
     gated cycle skips the gate: it logs gate_skipped and writes no
     snapshot, since re-judging that corpus would only redraw the micro
     seeds. Providers therefore see one blackboard per distinct corpus.
+    A once-per-campaign detector gets no frame after it fires: it cannot
+    fire again, so later frames end at the coverage row, as on baseline.
 
     Every input runs through micro.run_input, as the gate's do: a crash,
     a crashing seed's included, counts once per edge set in run_completed,

@@ -2,25 +2,25 @@
 
 Watches telemetry frames (cumulative exec/path/edge counters) and fires a
 plateau event when, over the trailing window of WINDOW_SEC seconds, fewer
-than THETA_EXECS new executions AND fewer than theta_paths new paths have
-accumulated. Both comparisons are strict ("fewer than"). The detector is
-armed once per campaign by default; a cooldown-based re-arm variant exists
-but is off by default.
+than theta_paths new paths have accumulated ("fewer than" is strict). The
+detector is armed once per campaign by default; a cooldown-based re-arm
+variant exists but is off by default. The campaign stops feeding a
+once-per-campaign detector after it fires: it can never fire again, and
+nothing reads its later frames.
 
-Under the campaign's virtual clock the exec clause never decides: a frame
-covers controller.FRAME_EXECS=4 executions, so the 10 s window spans about
-40 execs, always below THETA_EXECS=50. A campaign's default plateau
-therefore means "no new path in 10 s". The exec clause does gate frames
-polled from a real fuzzer's stats (frame_from_fuzzer_stats), whose exec
-rate is whatever the fuzzer reached.
+Under the campaign's virtual clock a frame covers controller.FRAME_EXECS=4
+executions, so the 10 s window spans about 40 execs, always fewer than
+THETA_EXECS=50. The detector therefore has no exec condition: a
+campaign's default plateau means "no new path in 10 s". THETA_EXECS stays
+in the config digest and delta_execs in the plateau event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# The trailing window and the exec threshold are fixed; DetectorConfig sets
-# the path threshold and the arming policy.
+# The trailing window is fixed; DetectorConfig sets the path threshold and
+# the arming policy. A window never holds THETA_EXECS execs.
 WINDOW_SEC = 10.0
 THETA_EXECS = 50
 
@@ -38,35 +38,6 @@ class TelemetryFrame:
     execs_done: int
     paths_total: int
     edges_found: int
-
-
-def parse_fuzzer_stats(text: str) -> dict[str, str]:
-    """Parse the `key : value` lines of a fuzzer_stats file."""
-    stats: dict[str, str] = {}
-    for line in text.splitlines():
-        if ":" not in line:
-            continue
-        key, _, value = line.partition(":")
-        stats[key.strip()] = value.strip()
-    return stats
-
-
-def frame_from_fuzzer_stats(stats) -> TelemetryFrame:
-    """Build a frame from a fuzzer_stats surface (text or parsed mapping).
-
-    Maps run_time to the frame clock and corpus_count to paths_total, so a
-    stats file polled at any cadence can feed the detector directly.
-    """
-    if isinstance(stats, bytes):
-        stats = stats.decode()
-    if isinstance(stats, str):
-        stats = parse_fuzzer_stats(stats)
-    return TelemetryFrame(
-        t=float(stats["run_time"]),
-        execs_done=int(float(stats["execs_done"])),
-        paths_total=int(float(stats["corpus_count"])),
-        edges_found=int(float(stats["edges_found"])),
-    )
 
 
 @dataclass(frozen=True)
@@ -115,11 +86,18 @@ def observe(state: DetectorState, frame: TelemetryFrame) -> DetectorState:
         last = state.frames[-1]
         if frame.t < last.t:
             raise NonMonotonicTelemetry(f"time went backwards: {last.t} -> {frame.t}")
-        for name in ("execs_done", "paths_total", "edges_found"):
-            if getattr(frame, name) < getattr(last, name):
-                raise NonMonotonicTelemetry(
-                    f"{name} decreased: {getattr(last, name)} -> {getattr(frame, name)}"
-                )
+        if frame.execs_done < last.execs_done:
+            raise NonMonotonicTelemetry(
+                f"execs_done decreased: {last.execs_done} -> {frame.execs_done}"
+            )
+        if frame.paths_total < last.paths_total:
+            raise NonMonotonicTelemetry(
+                f"paths_total decreased: {last.paths_total} -> {frame.paths_total}"
+            )
+        if frame.edges_found < last.edges_found:
+            raise NonMonotonicTelemetry(
+                f"edges_found decreased: {last.edges_found} -> {frame.edges_found}"
+            )
     frames = state.frames + (frame,)
     cutoff = frame.t - WINDOW_SEC
     # index of the last frame at or before the cutoff: keep it as anchor
@@ -156,13 +134,12 @@ def check_plateau(
         return None, state
     if not _armed(state, config, newest.t):
         return None, state
-    delta_execs = newest.execs_done - oldest.execs_done
     delta_paths = newest.paths_total - oldest.paths_total
-    if delta_execs < THETA_EXECS and delta_paths < config.theta_paths:
+    if delta_paths < config.theta_paths:
         event = PlateauEvent(
             fired_at=newest.t,
             window_start=oldest.t,
-            delta_execs=delta_execs,
+            delta_execs=newest.execs_done - oldest.execs_done,
             delta_paths=delta_paths,
         )
         return event, replace(state, last_fired_at=newest.t)

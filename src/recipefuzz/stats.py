@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import mannwhitneyu, rankdata, ttest_ind
 
-from .plateau import parse_fuzzer_stats
-
 # Exact enumeration applies up to this smaller-sample size; beyond it (or
 # beyond the arrangement cap) the normal approximation takes over.
 EXACT_MIN_N = 8
@@ -191,6 +189,17 @@ class ModeSummary:
     median_execs_per_sec: float
     median_edges: int
     vs_baseline: StatsSummary | None
+
+
+def parse_fuzzer_stats(text: str) -> dict[str, str]:
+    """Parse the `key : value` lines of a fuzzer_stats file."""
+    stats: dict[str, str] = {}
+    for line in text.splitlines():
+        if ":" not in line:
+            continue
+        key, _, value = line.partition(":")
+        stats[key.strip()] = value.strip()
+    return stats
 
 
 def load_coverage_series(path: Path) -> list[tuple[float, int]]:

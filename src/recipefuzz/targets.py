@@ -6,7 +6,12 @@ Two built-ins stand in for externally instrumented binaries:
   strings with escapes, numbers, literals) with a statically assigned edge
   ID at every branch arm and a depth-triggered crash. Its reachable edge
   set is small and a curated seed corpus covers it completely, which makes
-  it the saturated-scenario reference target.
+  it the saturated-scenario reference target. It is written flat for
+  speed: one module-level function per production, each taking
+  (data, pos, n, edges, ...) and returning the new pos, so a nesting
+  level costs at most two Python frames. Peeks and edge hits are inline
+  expressions; whitespace and digit runs are index loops, and a run of
+  plain string bytes is one regex match that adds its edge once.
 * ``staircase``: a target whose edge groups are revealed only when a gate
   literal appears in the input; used to test that the promotion gate can
   tell a useful dictionary token from a useless one.
@@ -17,6 +22,7 @@ so coverage deltas against a snapshot are meaningful.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 DEFAULT_MAP_SIZE = 4096
@@ -123,217 +129,213 @@ DEEP_NESTING_AT = 8
 E_TOP_TRAILING = 80
 E_TOP_CLEAN_EOF = 81
 
-_WS = b" \t\n\r"
-_SIMPLE_ESCAPES = b'"\\/bfnrt'
-_HEX = b"0123456789abcdefABCDEF"
+_WS = frozenset(b" \t\n\r")
+_SIMPLE_ESCAPES = frozenset(b'"\\/bfnrt')
+# A run of plain string bytes: anything but a quote, a backslash or a
+# control byte. A run adds E_STR_PLAIN once, which is the edge set that
+# adding it per byte gives.
+_STR_PLAIN_RUN = re.compile(rb'[^"\\\x00-\x1f]+')
+_HEX_QUAD = re.compile(rb"[0-9a-fA-F]{4}")
 
 
 class _CrashSignal(Exception):
-    pass
+    def __init__(self, pos: int):
+        super().__init__(pos)
+        self.pos = pos
 
 
-class _ParseRun:
-    __slots__ = ("data", "pos", "edges", "crash_depth")
+def _ws(data: bytes, pos: int, n: int, edges: set[int]) -> int:
+    """Skip the whitespace run at pos, which holds at least one byte."""
+    pos += 1
+    while pos < n and data[pos] in _WS:
+        pos += 1
+    edges.add(E_LEADING_WS)
+    return pos
 
-    def __init__(self, data: bytes, crash_depth: int):
-        self.data = data
-        self.pos = 0
-        self.edges: set[int] = set()
-        self.crash_depth = crash_depth
 
-    def edge(self, eid: int) -> None:
-        self.edges.add(eid)
+def _value(data: bytes, pos: int, n: int, edges: set[int], depth: int, crash_depth: int) -> int:
+    if depth > crash_depth:
+        raise _CrashSignal(pos)
+    if depth > DEEP_NESTING_AT:
+        edges.add(E_DEEP_NESTING)
+    if pos < n and data[pos] in _WS:
+        pos = _ws(data, pos, n, edges)
+    c = data[pos] if pos < n else -1
+    if c == 0x7B:  # {
+        edges.add(E_VAL_OBJECT)
+        return _object(data, pos, n, edges, depth, crash_depth)
+    if c == 0x5B:  # [
+        edges.add(E_VAL_ARRAY)
+        return _array(data, pos, n, edges, depth, crash_depth)
+    if c == 0x22:  # "
+        edges.add(E_VAL_STRING)
+        return _string(data, pos, n, edges)
+    if 0x30 <= c <= 0x39:  # 0-9
+        edges.add(E_VAL_NUM_DIGIT)
+        return _number(data, pos, n, edges)
+    if c == 0x2D:  # -
+        edges.add(E_VAL_NUM_MINUS)
+        return _number(data, pos + 1, n, edges)
+    if c == 0x74:  # t
+        edges.add(E_VAL_LIT_T)
+        return _literal(data, pos, edges, b"true", E_LIT_TRUE)
+    if c == 0x66:  # f
+        edges.add(E_VAL_LIT_F)
+        return _literal(data, pos, edges, b"false", E_LIT_FALSE)
+    if c == 0x6E:  # n
+        edges.add(E_VAL_LIT_N)
+        return _literal(data, pos, edges, b"null", E_LIT_NULL)
+    edges.add(E_VAL_BAD_CHAR)
+    return pos + 1 if c >= 0 else pos
 
-    def peek(self) -> int:
-        return self.data[self.pos] if self.pos < len(self.data) else -1
 
-    def skip_ws(self) -> None:
-        skipped = False
-        while self.pos < len(self.data) and self.data[self.pos] in _WS:
-            self.pos += 1
-            skipped = True
-        if skipped:
-            self.edge(E_LEADING_WS)
-
-    def parse_value(self, depth: int) -> None:
-        if depth > self.crash_depth:
-            raise _CrashSignal
-        if depth > DEEP_NESTING_AT:
-            self.edge(E_DEEP_NESTING)
-        self.skip_ws()
-        c = self.peek()
-        if c == ord("{"):
-            self.edge(E_VAL_OBJECT)
-            self.parse_object(depth)
-        elif c == ord("["):
-            self.edge(E_VAL_ARRAY)
-            self.parse_array(depth)
-        elif c == ord('"'):
-            self.edge(E_VAL_STRING)
-            self.parse_string()
-        elif ord("0") <= c <= ord("9"):
-            self.edge(E_VAL_NUM_DIGIT)
-            self.parse_number()
-        elif c == ord("-"):
-            self.edge(E_VAL_NUM_MINUS)
-            self.pos += 1
-            self.parse_number()
-        elif c == ord("t"):
-            self.edge(E_VAL_LIT_T)
-            self.parse_literal(b"true", E_LIT_TRUE)
-        elif c == ord("f"):
-            self.edge(E_VAL_LIT_F)
-            self.parse_literal(b"false", E_LIT_FALSE)
-        elif c == ord("n"):
-            self.edge(E_VAL_LIT_N)
-            self.parse_literal(b"null", E_LIT_NULL)
+def _object(data: bytes, pos: int, n: int, edges: set[int], depth: int, crash_depth: int) -> int:
+    edges.add(E_OBJ_OPEN)
+    pos += 1
+    if pos < n and data[pos] in _WS:
+        pos = _ws(data, pos, n, edges)
+    if pos < n and data[pos] == 0x7D:  # }
+        edges.add(E_OBJ_EMPTY)
+        return pos + 1
+    while True:
+        c = data[pos] if pos < n else -1
+        if c < 0:
+            edges.add(E_OBJ_UNTERMINATED)
+            return pos
+        if c != 0x22:  # "
+            edges.add(E_OBJ_BAD_KEY)
+            return pos + 1
+        edges.add(E_OBJ_KEY)
+        pos = _string(data, pos, n, edges)
+        if pos < n and data[pos] in _WS:
+            pos = _ws(data, pos, n, edges)
+        if pos < n and data[pos] == 0x3A:  # :
+            edges.add(E_OBJ_COLON)
+            pos += 1
         else:
-            self.edge(E_VAL_BAD_CHAR)
-            if c >= 0:
-                self.pos += 1
+            edges.add(E_OBJ_NO_COLON)
+        pos = _value(data, pos, n, edges, depth + 1, crash_depth)
+        if pos < n and data[pos] in _WS:
+            pos = _ws(data, pos, n, edges)
+        c = data[pos] if pos < n else -1
+        if c == 0x2C:  # ,
+            edges.add(E_OBJ_COMMA)
+            pos += 1
+            if pos < n and data[pos] in _WS:
+                pos = _ws(data, pos, n, edges)
+        elif c == 0x7D:  # }
+            edges.add(E_OBJ_CLOSE)
+            return pos + 1
+        else:
+            edges.add(E_OBJ_UNTERMINATED)
+            return pos
 
-    def parse_object(self, depth: int) -> None:
-        self.edge(E_OBJ_OPEN)
-        self.pos += 1
-        self.skip_ws()
-        if self.peek() == ord("}"):
-            self.edge(E_OBJ_EMPTY)
-            self.pos += 1
-            return
-        while True:
-            self.skip_ws()
-            c = self.peek()
-            if c < 0:
-                self.edge(E_OBJ_UNTERMINATED)
-                return
-            if c != ord('"'):
-                self.edge(E_OBJ_BAD_KEY)
-                self.pos += 1
-                return
-            self.edge(E_OBJ_KEY)
-            self.parse_string()
-            self.skip_ws()
-            if self.peek() == ord(":"):
-                self.edge(E_OBJ_COLON)
-                self.pos += 1
-            else:
-                self.edge(E_OBJ_NO_COLON)
-            self.parse_value(depth + 1)
-            self.skip_ws()
-            c = self.peek()
-            if c == ord(","):
-                self.edge(E_OBJ_COMMA)
-                self.pos += 1
-            elif c == ord("}"):
-                self.edge(E_OBJ_CLOSE)
-                self.pos += 1
-                return
-            else:
-                self.edge(E_OBJ_UNTERMINATED)
-                return
 
-    def parse_array(self, depth: int) -> None:
-        self.edge(E_ARR_OPEN)
-        self.pos += 1
-        self.skip_ws()
-        if self.peek() == ord("]"):
-            self.edge(E_ARR_EMPTY)
-            self.pos += 1
-            return
-        while True:
-            self.edge(E_ARR_ELEMENT)
-            self.parse_value(depth + 1)
-            self.skip_ws()
-            c = self.peek()
-            if c == ord(","):
-                self.edge(E_ARR_COMMA)
-                self.pos += 1
-            elif c == ord("]"):
-                self.edge(E_ARR_CLOSE)
-                self.pos += 1
-                return
-            elif c < 0:
-                self.edge(E_ARR_UNTERMINATED)
-                return
-            else:
-                self.edge(E_ARR_BAD_SEP)
-                self.pos += 1
-                return
+def _array(data: bytes, pos: int, n: int, edges: set[int], depth: int, crash_depth: int) -> int:
+    edges.add(E_ARR_OPEN)
+    pos += 1
+    if pos < n and data[pos] in _WS:
+        pos = _ws(data, pos, n, edges)
+    if pos < n and data[pos] == 0x5D:  # ]
+        edges.add(E_ARR_EMPTY)
+        return pos + 1
+    while True:
+        edges.add(E_ARR_ELEMENT)
+        pos = _value(data, pos, n, edges, depth + 1, crash_depth)
+        if pos < n and data[pos] in _WS:
+            pos = _ws(data, pos, n, edges)
+        c = data[pos] if pos < n else -1
+        if c == 0x2C:  # ,
+            edges.add(E_ARR_COMMA)
+            pos += 1
+        elif c == 0x5D:  # ]
+            edges.add(E_ARR_CLOSE)
+            return pos + 1
+        elif c < 0:
+            edges.add(E_ARR_UNTERMINATED)
+            return pos
+        else:
+            edges.add(E_ARR_BAD_SEP)
+            return pos + 1
 
-    def parse_string(self) -> None:
-        self.edge(E_STR_OPEN)
-        self.pos += 1
-        while True:
-            c = self.peek()
-            if c < 0:
-                self.edge(E_STR_UNTERMINATED)
-                return
-            if c == ord('"'):
-                self.edge(E_STR_CLOSE)
-                self.pos += 1
-                return
-            if c == ord("\\"):
-                self.pos += 1
-                e = self.peek()
-                if e >= 0 and e in _SIMPLE_ESCAPES:
-                    self.edge(E_STR_ESC_SIMPLE)
-                    self.pos += 1
-                elif e == ord("u"):
-                    self.pos += 1
-                    run = self.data[self.pos : self.pos + 4]
-                    if len(run) == 4 and all(b in _HEX for b in run):
-                        self.edge(E_STR_ESC_U)
-                        self.pos += 4
-                    else:
-                        self.edge(E_STR_ESC_U_BAD)
+
+def _string(data: bytes, pos: int, n: int, edges: set[int]) -> int:
+    edges.add(E_STR_OPEN)
+    pos += 1
+    while True:
+        if pos >= n:
+            edges.add(E_STR_UNTERMINATED)
+            return pos
+        c = data[pos]
+        if c == 0x22:  # "
+            edges.add(E_STR_CLOSE)
+            return pos + 1
+        if c == 0x5C:  # backslash
+            pos += 1
+            e = data[pos] if pos < n else -1
+            if e in _SIMPLE_ESCAPES:
+                edges.add(E_STR_ESC_SIMPLE)
+                pos += 1
+            elif e == 0x75:  # u
+                pos += 1
+                if _HEX_QUAD.match(data, pos):
+                    edges.add(E_STR_ESC_U)
+                    pos += 4
                 else:
-                    self.edge(E_STR_ESC_BAD)
-                    if e >= 0:
-                        self.pos += 1
-            elif c < 0x20:
-                self.edge(E_STR_CONTROL)
-                self.pos += 1
+                    edges.add(E_STR_ESC_U_BAD)
             else:
-                self.edge(E_STR_PLAIN)
-                self.pos += 1
-
-    def parse_number(self) -> None:
-        c = self.peek()
-        if not (ord("0") <= c <= ord("9")):
-            self.edge(E_NUM_BAD)
-            return
-        if c == ord("0"):
-            self.edge(E_NUM_LEADING_ZERO)
-        self.edge(E_NUM_INT)
-        while ord("0") <= self.peek() <= ord("9"):
-            self.pos += 1
-        if self.peek() == ord("."):
-            self.pos += 1
-            if not (ord("0") <= self.peek() <= ord("9")):
-                self.edge(E_NUM_BAD)
-                return
-            self.edge(E_NUM_FRAC)
-            while ord("0") <= self.peek() <= ord("9"):
-                self.pos += 1
-        if self.peek() in (ord("e"), ord("E")):
-            self.pos += 1
-            if self.peek() in (ord("+"), ord("-")):
-                self.edge(E_NUM_EXP_SIGN)
-                self.pos += 1
-            if not (ord("0") <= self.peek() <= ord("9")):
-                self.edge(E_NUM_BAD)
-                return
-            self.edge(E_NUM_EXP)
-            while ord("0") <= self.peek() <= ord("9"):
-                self.pos += 1
-
-    def parse_literal(self, word: bytes, ok_edge: int) -> None:
-        if self.data[self.pos : self.pos + len(word)] == word:
-            self.edge(ok_edge)
-            self.pos += len(word)
+                edges.add(E_STR_ESC_BAD)
+                if e >= 0:
+                    pos += 1
+        elif c < 0x20:
+            edges.add(E_STR_CONTROL)
+            pos += 1
         else:
-            self.edge(E_LIT_BAD)
-            self.pos += 1
+            edges.add(E_STR_PLAIN)
+            pos = _STR_PLAIN_RUN.match(data, pos).end()
+
+
+def _number(data: bytes, pos: int, n: int, edges: set[int]) -> int:
+    c = data[pos] if pos < n else -1
+    if not 0x30 <= c <= 0x39:
+        edges.add(E_NUM_BAD)
+        return pos
+    if c == 0x30:
+        edges.add(E_NUM_LEADING_ZERO)
+    edges.add(E_NUM_INT)
+    pos += 1
+    while pos < n and 0x30 <= data[pos] <= 0x39:
+        pos += 1
+    if pos < n and data[pos] == 0x2E:  # .
+        pos += 1
+        if not (pos < n and 0x30 <= data[pos] <= 0x39):
+            edges.add(E_NUM_BAD)
+            return pos
+        edges.add(E_NUM_FRAC)
+        pos += 1
+        while pos < n and 0x30 <= data[pos] <= 0x39:
+            pos += 1
+    if pos < n and data[pos] in (0x65, 0x45):  # e E
+        pos += 1
+        if pos < n and data[pos] in (0x2B, 0x2D):  # + -
+            edges.add(E_NUM_EXP_SIGN)
+            pos += 1
+        if not (pos < n and 0x30 <= data[pos] <= 0x39):
+            edges.add(E_NUM_BAD)
+            return pos
+        edges.add(E_NUM_EXP)
+        pos += 1
+        while pos < n and 0x30 <= data[pos] <= 0x39:
+            pos += 1
+    return pos
+
+
+def _literal(data: bytes, pos: int, edges: set[int], word: bytes, ok_edge: int) -> int:
+    if data.startswith(word, pos):
+        edges.add(ok_edge)
+        return pos + len(word)
+    edges.add(E_LIT_BAD)
+    return pos + 1
 
 
 class ParserTarget:
@@ -344,24 +346,22 @@ class ParserTarget:
         self.crash_depth = crash_depth
 
     def execute(self, data: bytes) -> ExecResult:
-        if len(data) > MAX_INPUT:
+        n = len(data)
+        if n > MAX_INPUT:
             raise ValueError(f"input exceeds max size {MAX_INPUT}")
-        run = _ParseRun(data, self.crash_depth)
-        run.edge(E_ENTER)
-        if not data:
-            run.edge(E_EMPTY_INPUT)
-            return ExecResult(frozenset(run.edges), False, 0)
+        edges = {E_ENTER}
+        if not n:
+            edges.add(E_EMPTY_INPUT)
+            return ExecResult(frozenset(edges), False, 0)
         try:
-            run.parse_value(0)
-            run.skip_ws()
-            if run.pos < len(data):
-                run.edge(E_TOP_TRAILING)
-            else:
-                run.edge(E_TOP_CLEAN_EOF)
-        except _CrashSignal:
+            pos = _value(data, 0, n, edges, 0, self.crash_depth)
+        except _CrashSignal as crash:
             # Depth budget exceeded: report a crash, no dedicated edge.
-            return ExecResult(frozenset(run.edges), True, run.pos)
-        return ExecResult(frozenset(run.edges), False, run.pos)
+            return ExecResult(frozenset(edges), True, crash.pos)
+        if pos < n and data[pos] in _WS:
+            pos = _ws(data, pos, n, edges)
+        edges.add(E_TOP_TRAILING if pos < n else E_TOP_CLEAN_EOF)
+        return ExecResult(frozenset(edges), False, pos)
 
 
 # --- staircase target ---

@@ -29,7 +29,7 @@ from recipefuzz.micro import (
     compute_reward,
     snapshot_digest,
 )
-from recipefuzz.plateau import REARM_AFTER_COOLDOWN, DetectorConfig
+from recipefuzz.plateau import REARM_AFTER_COOLDOWN, THETA_EXECS, DetectorConfig
 from recipefuzz.providers import (
     DEFAULT_RECIPE_ID,
     RuleProvider,
@@ -741,6 +741,49 @@ class TestRunsEachInputOnce:
         small, small_calls = run(16, "small")
         assert small == default == GOLDEN["staircase"]
         assert small_calls > default_calls
+
+
+class TestDetectorFeed:
+    @staticmethod
+    def observed_times(monkeypatch, name, out):
+        """Run a golden campaign; return its artifacts and the frame time
+        of every observe call."""
+        real = controller_module.observe
+        times = []
+
+        def counted(state, frame):
+            times.append(frame.t)
+            return real(state, frame)
+
+        monkeypatch.setattr(controller_module, "observe", counted)
+        return run_golden(name, out), times
+
+    def test_once_per_campaign_detector_is_not_fed_after_firing(self, tmp_path, monkeypatch):
+        artifacts, times = self.observed_times(monkeypatch, "parser", tmp_path)
+        fired = [e.t for e in artifacts.events if e.kind == "plateau_detected"]
+        assert len(fired) == 1
+        assert times == [float(t) for t in range(1, int(fired[0]) + 1)]
+
+    def test_rearming_detector_is_fed_every_frame(self, tmp_path, monkeypatch):
+        artifacts, times = self.observed_times(monkeypatch, "staircase", tmp_path)
+        assert len([e for e in artifacts.events if e.kind == "plateau_detected"]) > 1
+        assert times == [t for t, _ in artifacts.coverage_series[1:]]
+
+    @pytest.mark.parametrize("name", ["parser", "staircase", "bigram"])
+    def test_every_window_holds_fewer_than_theta_execs(self, tmp_path, monkeypatch, name):
+        # Under the virtual clock a window spans WINDOW_SEC frames of
+        # FRAME_EXECS execs, which is why the detector needs no exec
+        # condition.
+        real = controller_module.check_plateau
+        spans = []
+
+        def checked(state, config):
+            spans.append(state.frames[-1].execs_done - state.frames[0].execs_done)
+            return real(state, config)
+
+        monkeypatch.setattr(controller_module, "check_plateau", checked)
+        run_golden(name, tmp_path)
+        assert spans and max(spans) < THETA_EXECS
 
 
 class TestBudgetsAndDeterminism:
