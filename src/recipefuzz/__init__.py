@@ -13,7 +13,6 @@ from .recipe import (  # noqa: F401
     choose_operator,
     lower_recipe,
     parse_recipe,
-    serialize_recipe,
 )
 from .engine import (  # noqa: F401
     BenchReport,

@@ -14,6 +14,7 @@ ValueError, every I/O error an OSError.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import statistics
 import sys
@@ -131,8 +132,8 @@ def _cmd_mutate(args) -> int:
     compact = lower_recipe(recipe)
     data = Path(args.input).read_bytes()
     rng = random.Random(args.seed)
-    corpus = (engine.make_entry("input", data),)
-    outcome = engine.mutate(compact, data, corpus, rng, args.max_size)
+    entry = engine.make_entry("input", data)
+    outcome = engine.mutate(compact, data, (entry,), rng, args.max_size, seed=entry)
     if args.out:
         Path(args.out).write_bytes(outcome.output)
     else:
@@ -152,11 +153,8 @@ def _cmd_micro(args) -> int:
     result = micro.evaluate_candidate(
         candidate, entries, target, args.seed, budget_execs=args.budget_execs
     )
-    for key in (
-        "candidate_id", "delta_edges", "delta_paths", "delta_crashes",
-        "hits", "misses", "execs", "reward", "bitmap_available",
-    ):
-        print(f"{key:<16}: {getattr(result, key)}")
+    for key, value in dataclasses.asdict(result).items():
+        print(f"{key:<16}: {value}")
     return EXIT_OK
 
 

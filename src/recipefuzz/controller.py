@@ -8,9 +8,9 @@ micro-campaign gate, promote-or-skip. The gate judges each distinct
 corpus once: a plateau that finds the corpus the last gated cycle judged
 logs gate_skipped and leaves the active recipe as it is, since a
 re-judge would only redraw the micro seeds. Every decision lands in an
-append-only event log. No proposal provider is reachable from the
-mutation path; providers are consulted exclusively by the plateau
-handler.
+append-only event log, and every proposal document once in candidates/.
+No proposal provider is reachable from the mutation path; providers are
+consulted exclusively by the plateau handler.
 
 Campaign time is virtual: each telemetry frame spans one virtual second
 and covers a fixed number of executions, so runs with exec-count or
@@ -37,6 +37,7 @@ from .micro import (
     SnapshotRef,
     decide_winner,
     evaluate_candidate,
+    micro_seed,
     run_input,
     snapshot_corpus,
 )
@@ -51,7 +52,7 @@ from .plateau import (
     observe,
 )
 from .providers import RuleProvider, default_recipe_doc
-from .recipe import SchemaViolation, lower_recipe, parse_recipe, serialize_recipe
+from .recipe import SchemaViolation, lower_recipe, parse_recipe
 from .targets import DEFAULT_MAP_SIZE, EdgeBitmap, UnknownTarget, default_seeds, get_target, merge_into
 
 ABLATIONS = ("baseline", "rule-only", "no-mutator", "controller-only", "full")
@@ -63,6 +64,9 @@ K_PROPOSAL = "proposal_recorded"
 K_MICRO = "micro_result"
 K_GATE_SKIPPED = "gate_skipped"
 K_COMPLETED = "run_completed"
+
+# Proposal record keys kept out of the proposal_recorded payload.
+UNLOGGED_RECORD_KEYS = ("context_hash", "response_hash", "document")
 
 SCHEDULE_ENERGY = 4
 SKIP_NON_FAVORED = 0.75
@@ -211,7 +215,8 @@ def propose_candidates(
     Providers are consulted in order per slot; a schema-invalid document is
     dropped and recorded (error_kind=schema_invalid) and the next provider
     gets the slot. The built-in rule provider terminates the chain, so the
-    bundle always comes back full.
+    bundle always comes back full. Each record keeps the provider's bytes
+    under "document"; response_hash is their sha256.
     """
     ctx_hash = hash_context(blackboard)
     chain = list(providers) + [RuleProvider()]
@@ -222,12 +227,14 @@ def propose_candidates(
             text = provider.propose(blackboard, intervention)
             if text is None:
                 continue
+            document = text.encode("utf-8") if isinstance(text, str) else text
             record = {
                 "provider": getattr(provider, "name", type(provider).__name__),
                 "intervention": intervention,
                 "fallback_used": False,
                 "context_hash": ctx_hash,
-                "response_hash": hash_response(text),
+                "response_hash": hash_response(document),
+                "document": document,
             }
             records.append(record)
             try:
@@ -259,13 +266,13 @@ class _Campaign:
         self.executor = executor
         self.out = Path(config.output_dir)
         # A rerun into the same directory starts clean: stale queue
-        # entries or snapshots must not leak into this campaign.
-        for sub in ("queue", "snapshots", "recipes"):
+        # entries, snapshots or candidates must not leak into this campaign.
+        for sub in ("queue", "snapshots", "candidates"):
             if (self.out / sub).exists():
                 shutil.rmtree(self.out / sub)
         self.queue_dir = self.out / "queue"
         self.queue_dir.mkdir(parents=True)
-        (self.out / "recipes").mkdir(parents=True)
+        (self.out / "candidates").mkdir()
 
         self.rng = random.Random(config.rng_seed)
         self.bitmap = EdgeBitmap(capacity=config.map_capacity)
@@ -384,7 +391,8 @@ class _Campaign:
         no snapshot: re-judging would only redraw the micro seeds. The cycle
         number still advances, so snapshots are numbered by plateau and
         micro seeds keep their cycle term. Nothing here touches the main
-        loop's rng, queue or schedule.
+        loop's rng, queue or schedule. Proposal documents not yet in
+        candidates/ are written there once decide_winner returns.
         """
         self.plateau_cycles += 1
         cycle = self.plateau_cycles
@@ -416,22 +424,16 @@ class _Campaign:
         # rule provider fills every slot, so records is never empty.
         ctx_hash = records[0]["context_hash"]
         for record in records:
-            payload = {k: v for k, v in record.items() if k not in ("context_hash", "response_hash")}
-            self._emit(
-                K_PROPOSAL,
-                payload,
-                context_hash=record["context_hash"],
-                response_hash=record["response_hash"],
-            )
+            payload = {k: v for k, v in record.items() if k not in UNLOGGED_RECORD_KEYS}
+            self._emit(K_PROPOSAL, payload, ctx_hash, record["response_hash"])
 
         results: list[MicroResult] = []
         for i, candidate in enumerate(candidates):
-            micro_seed = self.config.rng_seed * 1_000_003 + cycle * 1_000 + i
             result = evaluate_candidate(
                 candidate,
                 snapshot.entries,
                 self.executor,
-                micro_seed,
+                micro_seed(self.config.rng_seed, cycle, i),
                 budget_execs=self.config.micro_budget_execs,
                 map_capacity=self.config.map_capacity,
             )
@@ -449,14 +451,14 @@ class _Campaign:
         decision, gate_events = decide_winner(results)
         for kind, payload in gate_events:
             self._emit(kind, payload, context_hash=ctx_hash)
+        for record in records:
+            path = self.out / "candidates" / f"{record['response_hash']}.json"
+            if not path.exists():
+                path.write_bytes(record["document"])
         if decision.status == "promoted":
             self.promotions += 1
-            winner = next(
-                c for c in candidates if c.candidate_id == decision.winner
-            )
-            recipe_path = self.out / "recipes" / f"{winner.recipe.id}.json"
-            recipe_path.write_text(serialize_recipe(winner.recipe))
             if self.recipes_on:
+                winner = next(c for c in candidates if c.candidate_id == decision.winner)
                 self.active = lower_recipe(winner.recipe)
                 self.active_expires = self.t + winner.recipe.ttl_sec
 
@@ -596,9 +598,11 @@ def run_campaign(
     handler snapshots it, and nothing reads queue/ back. queue/ records it,
     one write-once file per entry written on admission, and is the only
     on-disk copy of the entry bytes: a snapshot, snapshots/cycle_NN/, holds
-    just the manifest that names its entries in queue/. Artifacts:
-    fuzzer_stats, coverage.csv, events.jsonl, run_metadata.json plus
-    queue/, snapshots/ and recipes/ directories under output_dir.
+    just the manifest that names its entries in queue/. candidates/ holds
+    each distinct proposal document once, as its provider returned it, in
+    <response_hash>.json, so every gate decision re-executes from the run
+    directory. Artifacts: fuzzer_stats, coverage.csv, events.jsonl,
+    run_metadata.json plus queue/, snapshots/ and candidates/ under output_dir.
 
     On a gated arm, a plateau whose corpus is unchanged since the last
     gated cycle skips the gate: it logs gate_skipped and writes no

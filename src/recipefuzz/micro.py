@@ -257,6 +257,12 @@ def snapshot_digest(ref: SnapshotRef, queue_dir: Path | str) -> str:
     )
 
 
+def micro_seed(rng_seed: int, cycle: int, index: int) -> int:
+    """The rng seed of the gate run that scores candidate `index` of plateau
+    `cycle` in a campaign seeded with `rng_seed`."""
+    return rng_seed * 1_000_003 + cycle * 1_000 + index
+
+
 def evaluate_candidate(
     candidate: Candidate,
     entries: Sequence[CorpusEntry],

@@ -36,6 +36,8 @@ REFERENCE_WEIGHTS = {
 DEFAULT_TOKENS = (b"FUZZ", b"MAGIC", b"TOKEN")
 DEFAULT_RECIPE_ID = "rule_default"
 DEFAULT_TTL_SEC = 1800
+# The built-in focus range [0, FOCUS_HEAD_BYTES) spans every input a
+# campaign holds (micro.MAX_SIZE, 1024 bytes), so it biases nothing.
 FOCUS_HEAD_BYTES = 4096
 # Most extracted tokens a dictionary recipe carries.
 DICTIONARY_TOKENS = 16
@@ -83,7 +85,7 @@ def recipe_doc(
 
 def default_recipe_doc() -> str:
     """The controller's default rule recipe: token insertions and
-    overwrites biased to the head of the buffer."""
+    overwrites anywhere in a campaign input (its focus spans all of it)."""
     return recipe_doc(
         DEFAULT_RECIPE_ID,
         "generic token coverage over the buffer head",

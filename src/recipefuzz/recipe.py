@@ -354,22 +354,6 @@ def parse_recipe(text: str | bytes) -> MutationRecipe:
     return recipe
 
 
-def serialize_recipe(recipe: MutationRecipe) -> str:
-    """Render a recipe back to its document form (round-trips via parse_recipe)."""
-    doc = {
-        "id": recipe.id,
-        "selector": {"mode": recipe.selector.mode, "key": recipe.selector.key},
-        "priority": recipe.priority,
-        "ttl_sec": recipe.ttl_sec,
-        "operator_weights": dict(recipe.operator_weights),
-        "focus_ranges": [[r.start, r.end] for r in recipe.focus_ranges],
-        "protect_ranges": [[r.start, r.end] for r in recipe.protect_ranges],
-        "dictionary_tokens": [encode_token(t) for t in recipe.dictionary_tokens],
-        "expected_signal": recipe.expected_signal,
-    }
-    return json.dumps(doc, indent=2)
-
-
 def merge_ranges(ranges: tuple[ByteRange, ...] | list[ByteRange]) -> tuple[ByteRange, ...]:
     """Sort ranges and merge overlapping or adjacent ones."""
     if not ranges:

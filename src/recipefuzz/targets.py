@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 DEFAULT_MAP_SIZE = 4096
 # The largest input a built-in target executes; a longer one is a ValueError.
@@ -34,8 +35,7 @@ class UnknownTarget(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ExecResult:
+class ExecResult(NamedTuple):
     edges_hit: frozenset[int]
     crashed: bool
     consumed: int
@@ -438,18 +438,23 @@ STAIRCASE_SEEDS = (
 )
 
 
+# The built-in targets: name -> (executor factory, curated seeds).
+BUILTIN_TARGETS = {
+    "parser": (ParserTarget, PARSER_SEEDS),
+    "staircase": (StaircaseTarget, STAIRCASE_SEEDS),
+}
+
+
+def _builtin(name: str):
+    if name not in BUILTIN_TARGETS:
+        raise UnknownTarget(f"unknown built-in target {name!r}")
+    return BUILTIN_TARGETS[name]
+
+
 def get_target(name: str):
     """Resolve a built-in target by name."""
-    if name == "parser":
-        return ParserTarget()
-    if name == "staircase":
-        return StaircaseTarget()
-    raise UnknownTarget(f"unknown built-in target {name!r}")
+    return _builtin(name)[0]()
 
 
 def default_seeds(name: str) -> tuple[tuple[str, bytes], ...]:
-    if name == "parser":
-        return PARSER_SEEDS
-    if name == "staircase":
-        return STAIRCASE_SEEDS
-    raise UnknownTarget(f"unknown built-in target {name!r}")
+    return _builtin(name)[1]

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -208,6 +209,32 @@ class TestMutate:
         )
         assert code == 5
         assert "weight must be numeric" in err
+
+    @pytest.mark.parametrize("matches", [False, True], ids=["mismatch", "match"])
+    def test_seed_hash_selector(self, matches, tmp_path, capsys):
+        # The input is the corpus entry named "input": a scoped recipe
+        # whose selector does not match it is a recorded miss.
+        data = b'{"k": 1}'
+        inp = tmp_path / "a"
+        inp.write_bytes(data)
+        key = hashlib.sha256(data).hexdigest() if matches else "0" * 64
+        recipe_file = tmp_path / "r.json"
+        recipe_file.write_text(json.dumps({
+            "id": "scoped", "selector": {"mode": "seed_hash", "key": key}, "priority": 1,
+            "ttl_sec": 60, "operator_weights": {"BitFlip": 1.0},
+        }))
+        out = tmp_path / "o"
+        code, _, err = run_cli(
+            capsys, "mutate", "--recipe", str(recipe_file), "--input", str(inp),
+            "--out", str(out),
+        )
+        assert code == 0
+        if matches:
+            assert err.startswith("op=BitFlip hit=1 ")
+            assert out.read_bytes() != data
+        else:
+            assert err == f"op=none hit=0 size={len(data)}\n"
+            assert out.read_bytes() == data
 
     @pytest.mark.parametrize("size", [0, 101])
     def test_input_outside_max_size_exits_5(self, size, tmp_path, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,17 @@ from recipefuzz.controller import (
     run_campaign,
 )
 from recipefuzz.cli import _reference_recipe_doc
+from recipefuzz.engine import make_entry
 from recipefuzz.micro import (
     INTERVENTIONS,
     MAX_SIZE,
+    Candidate,
     ExecutorFailure,
     RewardWeights,
     compute_reward,
+    decide_winner,
+    evaluate_candidate,
+    micro_seed,
     snapshot_digest,
 )
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, THETA_EXECS, DetectorConfig
@@ -36,7 +42,7 @@ from recipefuzz.providers import (
     StaticTokenProvider,
     default_recipe_doc,
 )
-from recipefuzz.recipe import OperatorKind
+from recipefuzz.recipe import OperatorKind, parse_recipe
 from recipefuzz.stats import parse_run_dir
 from recipefuzz.targets import (
     PARSER_SEEDS,
@@ -44,6 +50,7 @@ from recipefuzz.targets import (
     ParserTarget,
     StaircaseTarget,
     default_seeds,
+    get_target,
 )
 
 from conftest import BrokenResultExecutor, CountingExecutor
@@ -183,8 +190,9 @@ class TestStaircasePromotion:
             )
         )
         assert artifacts.edges_found > control.edges_found
-        recipes = list((artifacts.output_dir / "recipes").iterdir())
-        assert len(recipes) == 1
+        # One gated cycle, four distinct proposal documents.
+        candidates = list((artifacts.output_dir / "candidates").iterdir())
+        assert len(candidates) == 4
 
     def test_promoted_recipe_expires_after_ttl(self, tmp_path):
         class ShortTTLProvider:
@@ -514,6 +522,90 @@ class TestGateSkip:
         assert kinds_of(artifacts).count("gate_skipped") > 0
 
 
+def check_reexecution(out):
+    """Re-execute every gated cycle of the campaign in out from the run
+    directory alone, asserting that each micro_result and gate decision
+    comes back as logged; returns the number of gated cycles.
+
+    A cycle's corpus is its snapshot manifest over queue/. A micro_result's
+    candidate is the cycle's schema-valid proposal of its intervention,
+    read from candidates/<response_hash>.json. Its seed is micro_seed of
+    run_metadata's seed, the cycle and its index; its budget the logged
+    execs.
+    """
+    meta = json.loads((out / "run_metadata.json").read_text())
+    executor = get_target(meta["target"])
+    events = load_events(out / "events.jsonl")
+    gated = 0
+    for n, evs in events_by_cycle(events).items():
+        micro = [e.payload for e in evs if e.kind == "micro_result"]
+        if not micro:
+            continue
+        gated += 1
+        manifest = json.loads((out / "snapshots" / f"cycle_{n:02d}" / "manifest.json").read_text())
+        entries = [make_entry(name, (out / "queue" / name).read_bytes()) for name in sorted(manifest)]
+        assert {e.seed_id: e.seed_hash for e in entries} == manifest
+        documents = {
+            e.payload["intervention"]: e.response_hash
+            for e in evs
+            if e.kind == "proposal_recorded" and e.payload["schema_valid"]
+        }
+        results = []
+        for i, payload in enumerate(micro):
+            logged = dict(payload)
+            intervention, recipe_id = logged.pop("intervention"), logged.pop("recipe_id")
+            assert logged["candidate_id"] == f"c{n:02d}_{i}_{intervention}"
+            document = (out / "candidates" / f"{documents[intervention]}.json").read_bytes()
+            recipe = parse_recipe(document)
+            assert recipe.id == recipe_id
+            result = evaluate_candidate(
+                Candidate(recipe, intervention, logged["candidate_id"]),
+                entries,
+                executor,
+                micro_seed(meta["seed"], n, i),
+                logged["execs"],
+            )
+            assert asdict(result) == logged
+            results.append(result)
+        _, decided = decide_winner(results)
+        gate_kinds = ("winner_decided", "recipe_promoted", "promotion_skipped")
+        assert decided == [(e.kind, e.payload) for e in evs if e.kind in gate_kinds]
+
+    # One file per distinct response_hash, each named by its bytes' sha256.
+    files = {p.name: p.read_bytes() for p in (out / "candidates").iterdir()}
+    for name, data in files.items():
+        assert name == f"{hashlib.sha256(data).hexdigest()}.json"
+    hashes = {e.response_hash for e in events if e.kind == "proposal_recorded"}
+    assert {name.removesuffix(".json") for name in files} == hashes
+    return gated
+
+
+class TestReexecution:
+    @pytest.mark.parametrize(
+        "name, cycles", [("parser", 1), ("staircase", 2), ("staircase-no-mutator", 1)]
+    )
+    def test_gate_reexecutes_from_run_dir(self, name, cycles, tmp_path):
+        out = run_golden(name, tmp_path).output_dir
+        assert check_reexecution(out) == cycles
+
+    def test_schema_invalid_document_kept(self, tmp_path):
+        artifacts = run_campaign(saturated_config(tmp_path, providers=(BadDocProvider(),)))
+        assert check_reexecution(artifacts.output_dir) == 1
+        bad = next(
+            e for e in artifacts.events
+            if e.kind == "proposal_recorded" and not e.payload["schema_valid"]
+        )
+        path = artifacts.output_dir / "candidates" / f"{bad.response_hash}.json"
+        assert path.read_bytes() == BadDocProvider().propose({}, "dictionary").encode()
+
+    def test_rerun_clears_candidates(self, tmp_path):
+        config = saturated_config(tmp_path, providers=(BadDocProvider(),))
+        run_campaign(config)
+        config.providers = ()
+        artifacts = run_campaign(config)
+        assert check_reexecution(artifacts.output_dir) == 1
+
+
 class TestAdmission:
     def test_slots_held_matches_favored_rebuild(self, tmp_path):
         _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == "bigram")
@@ -618,8 +710,15 @@ class TestExecutorFailure:
 
     @pytest.mark.parametrize(
         "fail_at, result",
-        [(1, None), (SEEDS, None), (SEEDS + 1, None), (SEEDS + 20, None), (SEEDS + 1, NoEdges())],
-        ids=["first-seed", "last-seed", "first-loop-exec", "loop", "loop-no-edges"],
+        [
+            (1, None),
+            (SEEDS, None),
+            (SEEDS + 1, None),
+            (SEEDS + 20, None),
+            (SEEDS + 1, NoEdges()),
+            (SEEDS + 1, (frozenset({1}), False, 3)),
+        ],
+        ids=["first-seed", "last-seed", "first-loop-exec", "loop", "loop-no-edges", "plain-tuple"],
     )
     def test_broken_result_raises_executor_failure(self, fail_at, result, tmp_path):
         # Reading the missing crashed or edges_hit is the original error,
@@ -1245,6 +1344,7 @@ class TestProposeCandidates:
                 "recipe_id": DEFAULT_RECIPE_ID,
                 "context_hash": hash_context(bb),
                 "response_hash": hash_response(default_recipe_doc()),
+                "document": default_recipe_doc().encode(),
             }
             candidate = next(c for c in candidates if c.intervention == intervention)
             assert candidate.recipe.id == DEFAULT_RECIPE_ID

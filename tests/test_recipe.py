@@ -19,7 +19,6 @@ from recipefuzz.recipe import (
     lower_recipe,
     merge_ranges,
     parse_recipe,
-    serialize_recipe,
 )
 
 from conftest import REFERENCE_WEIGHTS
@@ -171,32 +170,6 @@ class TestTokens:
         for bad in ("\\x", "\\xZZ", "\\q", "tab\there"):
             with pytest.raises(ValueError):
                 decode_token(bad)
-
-
-class TestRoundTrip:
-    def test_serialize_parse_round_trip(self, reference_recipe_text):
-        recipe = parse_recipe(reference_recipe_text)
-        again = parse_recipe(serialize_recipe(recipe))
-        assert again == recipe
-
-    def test_round_trip_random_recipes(self):
-        rng = random.Random(99)
-        ops = [op.value for op in OPERATOR_ORDER]
-        for _ in range(50):
-            chosen = rng.sample(ops, rng.randint(1, 7))
-            weights = {op: round(rng.uniform(0.01, 1.0), 3) for op in chosen}
-            tokens = [
-                encode_token(bytes(rng.randrange(256) for _ in range(rng.randint(1, 8))))
-                for _ in range(rng.randint(1, 5))
-            ]
-            doc = make_doc(
-                operator_weights=weights,
-                dictionary_tokens=tokens,
-                focus_ranges=[[0, rng.randint(1, 64)]],
-                expected_signal="demo",
-            )
-            recipe = parse_recipe(doc)
-            assert parse_recipe(serialize_recipe(recipe)) == recipe
 
 
 class TestLower:

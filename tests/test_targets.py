@@ -8,6 +8,7 @@ import pytest
 from recipefuzz import targets as T
 from recipefuzz.targets import (
     EdgeBitmap,
+    ExecResult,
     ParserTarget,
     StaircaseTarget,
     merge_into,
@@ -129,6 +130,19 @@ def test_input_over_one_mib_rejected(target):
     # At the limit the input runs; nested brackets crash the parser at
     # its depth budget within the first hundred bytes.
     assert target.execute(b"[" * T.MAX_INPUT).edges_hit
+
+
+class TestExecResult:
+    def test_positional_and_keyword_construction(self):
+        edges = frozenset({1, 2})
+        result = ExecResult(edges, True, 3)
+        assert result == ExecResult(edges_hit=edges, crashed=True, consumed=3)
+        assert (result.edges_hit, result.crashed, result.consumed) == (edges, True, 3)
+
+    def test_fields_are_read_only(self):
+        result = ExecResult(frozenset(), False, 0)
+        with pytest.raises(AttributeError):
+            result.crashed = True
 
 
 class TestEdgeBitmap:
