@@ -124,9 +124,7 @@ def hash_context(blackboard: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def hash_response(document: str | bytes) -> str:
-    if isinstance(document, str):
-        document = document.encode("utf-8")
+def hash_response(document: bytes) -> str:
     return hashlib.sha256(document).hexdigest()
 
 
@@ -156,13 +154,12 @@ class CampaignConfig:
                 "theta_execs": THETA_EXECS,
                 "theta_paths": self.detector.theta_paths,
                 "rearm_policy": self.detector.rearm_policy,
+                "cooldown_sec": self.detector.cooldown_sec,
             },
             "frame_execs": FRAME_EXECS,
             # One candidate slot per intervention.
             "k_cand": len(INTERVENTIONS),
             "micro_budget_execs": self.micro_budget_execs,
-            # A former setting, kept at null so config digests stay byte-identical.
-            "micro_budget_sec": None,
             "reward": [REWARD.alpha, REWARD.beta, REWARD.gamma, REWARD.delta_h, REWARD.delta_m],
             "providers": [getattr(p, "name", type(p).__name__) for p in self.providers],
             "static_tokens": [t.decode("latin-1") for t in self.static_tokens],
@@ -231,7 +228,6 @@ def propose_candidates(
             record = {
                 "provider": getattr(provider, "name", type(provider).__name__),
                 "intervention": intervention,
-                "fallback_used": False,
                 "context_hash": ctx_hash,
                 "response_hash": hash_response(document),
                 "document": document,
@@ -266,8 +262,8 @@ class _Campaign:
         self.executor = executor
         self.out = Path(config.output_dir)
         # A rerun into the same directory starts clean: stale queue
-        # entries, snapshots or candidates must not leak into this campaign.
-        for sub in ("queue", "snapshots", "candidates"):
+        # entries or candidates must not leak into this campaign.
+        for sub in ("queue", "candidates"):
             if (self.out / sub).exists():
                 shutil.rmtree(self.out / sub)
         self.queue_dir = self.out / "queue"
@@ -387,12 +383,12 @@ class _Campaign:
 
         The queue only grows, so a gated arm whose queue has the length it
         had at the last gated cycle holds the corpus that cycle judged. It
-        then logs gate_skipped, naming that cycle and its digest, and writes
+        then logs gate_skipped, naming that cycle and its digest, and takes
         no snapshot: re-judging would only redraw the micro seeds. The cycle
-        number still advances, so snapshots are numbered by plateau and
-        micro seeds keep their cycle term. Nothing here touches the main
-        loop's rng, queue or schedule. Proposal documents not yet in
-        candidates/ are written there once decide_winner returns.
+        number still advances, so micro seeds keep their cycle term.
+        Nothing here touches the main loop's rng, queue or schedule.
+        Proposal documents not yet in candidates/ are written there once
+        decide_winner returns.
         """
         self.plateau_cycles += 1
         cycle = self.plateau_cycles
@@ -404,16 +400,8 @@ class _Campaign:
                     K_GATE_SKIPPED, {"judged_cycle": judged_cycle, "digest": judged.digest}
                 )
                 return
-        snap_dir = self.out / "snapshots" / f"cycle_{cycle:02d}"
-        snapshot = snapshot_corpus(self.queue, snap_dir)
-        self._emit(
-            K_SNAPSHOT,
-            {
-                "path": str(snapshot.path),
-                "entries": len(snapshot.entries),
-                "digest": snapshot.digest,
-            },
-        )
+        snapshot = snapshot_corpus(self.queue)
+        self._emit(K_SNAPSHOT, {"entries": len(snapshot.entries), "digest": snapshot.digest})
         if not self.gate_on:
             return
         self.judged = (cycle, snapshot)
@@ -476,13 +464,7 @@ class _Campaign:
         tokens = [t.decode("latin-1") for t in self.config.static_tokens]
         recent = [asdict(f) for f in self.detector_state.frames[-10:]]
         return {
-            "snapshot": {
-                # Run-relative path: identical campaign content must hash
-                # the same no matter where the run directory lives.
-                "path": str(snapshot.path.relative_to(self.out)),
-                "digest": snapshot.digest,
-                "seeds": seeds,
-            },
+            "snapshot": {"digest": snapshot.digest, "seeds": seeds},
             "recent_stats": recent,
             "static_context": {"available": bool(tokens), "tokens": tokens},
             "config_digest": self.config_digest,
@@ -568,6 +550,7 @@ class _Campaign:
             "target": self.config.target,
             "executor": getattr(self.executor, "name", type(self.executor).__name__),
             "seed": self.config.rng_seed,
+            "map_capacity": self.config.map_capacity,
             "config_digest": self.config_digest,
             "active_recipe_id": self.active.id if self.active else None,
             "promotions": self.promotions,
@@ -596,16 +579,19 @@ def run_campaign(
     raises ConfigInvalid before anything is written. The in-memory queue is
     the campaign's corpus: the main loop mutates over it and the plateau
     handler snapshots it, and nothing reads queue/ back. queue/ records it,
-    one write-once file per entry written on admission, and is the only
-    on-disk copy of the entry bytes: a snapshot, snapshots/cycle_NN/, holds
-    just the manifest that names its entries in queue/. candidates/ holds
-    each distinct proposal document once, as its provider returned it, in
-    <response_hash>.json, so every gate decision re-executes from the run
-    directory. Artifacts: fuzzer_stats, coverage.csv, events.jsonl,
-    run_metadata.json plus queue/, snapshots/ and candidates/ under output_dir.
+    one write-once file per entry written on admission, id_NNNNNN_<name>
+    with NNNNNN the admission index. The queue only grows, so a snapshot
+    is its first `entries` entries: the corpus_snapshot event logs that
+    count and the digest, and the snapshot itself is never written.
+    candidates/ holds each distinct proposal document once, as its
+    provider returned it, in <response_hash>.json, so every gate decision
+    re-executes from the run directory. Artifacts: fuzzer_stats,
+    coverage.csv, events.jsonl, run_metadata.json (not digested; it
+    records the map capacity a re-execution needs) plus queue/ and
+    candidates/ under output_dir. No logged byte depends on output_dir.
 
     On a gated arm, a plateau whose corpus is unchanged since the last
-    gated cycle skips the gate: it logs gate_skipped and writes no
+    gated cycle skips the gate: it logs gate_skipped and takes no
     snapshot, since re-judging that corpus would only redraw the micro
     seeds. Providers therefore see one blackboard per distinct corpus.
     A once-per-campaign detector gets no frame after it fires: it cannot

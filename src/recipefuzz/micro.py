@@ -3,8 +3,9 @@
 A candidate recipe is never trusted directly: it is scored in a short
 isolated fuzzing run over a frozen corpus snapshot, using a coverage map
 disjoint from the main run, and promoted only when its reward is strictly
-positive. A snapshot on disk is its manifest alone: it names entries whose
-bytes stay in the run's queue/.
+positive. A snapshot lives in memory only, as its entries and their
+digest. A campaign's queue only grows, so the run's queue/ and the logged
+entry count give a snapshot's corpus back.
 
 Reward accounting: delta_edges / delta_paths / delta_crashes are measured
 against the snapshot's replayed baseline coverage. The hit count h is the
@@ -44,8 +45,6 @@ INTERVENTIONS = ("default", "dictionary", "seed_focus", "per_seed_recipe")
 STATUS_PROMOTED = "promoted"
 STATUS_NO_SIGNIFICANCE = "no_significance"
 REASON_NO_SUCCESS = "no_successful_micro_campaign"
-
-SNAPSHOT_MANIFEST = "manifest.json"
 
 # The largest input a campaign's main loop or its gate may produce.
 MAX_SIZE = 1024
@@ -152,7 +151,6 @@ class PromotionDecision:
 
 @dataclass(frozen=True)
 class SnapshotRef:
-    path: Path
     entries: tuple[CorpusEntry, ...]
     digest: str
 
@@ -212,49 +210,17 @@ def read_queue(queue_dir: Path | str) -> tuple[CorpusEntry, ...]:
     return entries
 
 
-def corpus_manifest(entries: Iterable[CorpusEntry]) -> bytes:
-    """The snapshot manifest of these entries: seed_id mapped to
-    seed_hash, as canonical JSON. It is what snapshot_corpus writes, and
-    its sha256 is the snapshot digest. Entry order does not matter."""
-    return json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True).encode()
+def snapshot_corpus(entries: Iterable[CorpusEntry]) -> SnapshotRef:
+    """Freeze corpus entries as a snapshot, in memory.
 
-
-def corpus_digest(entries: Iterable[CorpusEntry]) -> str:
-    """The digest snapshot_corpus gives these entries, computed in memory
-    without writing anything."""
-    return hashlib.sha256(corpus_manifest(entries)).hexdigest()
-
-
-def snapshot_corpus(entries: Iterable[CorpusEntry], dest_dir: Path | str) -> SnapshotRef:
-    """Freeze corpus entries as a snapshot: its manifest, and nothing else.
-
-    Writes only the manifest (corpus_manifest) into dest_dir, which must
-    not exist yet. The entry bytes stay where the campaign wrote them, one
-    write-once file per seed_id in its queue/. The returned ref carries
-    the entries sorted by seed_id; later corpus changes cannot affect it.
+    The ref carries the entries sorted by seed_id, so later corpus changes
+    cannot affect it, and their digest: the sha256 of the canonical JSON
+    mapping each seed_id to its seed_hash, which entry order does not
+    change.
     """
     entries = tuple(sorted(entries, key=lambda e: e.seed_id))
-    dest_dir = Path(dest_dir)
-    manifest_bytes = corpus_manifest(entries)
-    try:
-        dest_dir.mkdir(parents=True, exist_ok=False)
-        (dest_dir / SNAPSHOT_MANIFEST).write_bytes(manifest_bytes)
-    except OSError as exc:
-        raise IoFailure(f"cannot write snapshot {dest_dir}: {exc}") from exc
-    return SnapshotRef(
-        path=dest_dir,
-        entries=entries,
-        digest=hashlib.sha256(manifest_bytes).hexdigest(),
-    )
-
-
-def snapshot_digest(ref: SnapshotRef, queue_dir: Path | str) -> str:
-    """Recompute the snapshot digest from the bytes queue_dir holds for
-    the entries the snapshot names."""
-    queue_dir = Path(queue_dir)
-    return corpus_digest(
-        make_entry(e.seed_id, (queue_dir / e.seed_id).read_bytes()) for e in ref.entries
-    )
+    manifest = json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True)
+    return SnapshotRef(entries, hashlib.sha256(manifest.encode()).hexdigest())
 
 
 def micro_seed(rng_seed: int, cycle: int, index: int) -> int:

@@ -53,7 +53,7 @@ def test_benchmark_seam(tmp_path):
 
     # The traced benchmark counts len(ref.entries) per snapshot.
     entries = [make_entry(name, name.encode()) for name in ("b", "c", "a")]
-    ref = controller.snapshot_corpus(entries, tmp_path / "snap")
+    ref = controller.snapshot_corpus(entries)
     assert ref.entries == tuple(sorted(entries, key=lambda e: e.seed_id))
 
 

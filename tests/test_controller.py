@@ -22,7 +22,6 @@ from recipefuzz.controller import (
     run_campaign,
 )
 from recipefuzz.cli import _reference_recipe_doc
-from recipefuzz.engine import make_entry
 from recipefuzz.micro import (
     INTERVENTIONS,
     MAX_SIZE,
@@ -33,7 +32,8 @@ from recipefuzz.micro import (
     decide_winner,
     evaluate_candidate,
     micro_seed,
-    snapshot_digest,
+    read_queue,
+    snapshot_corpus,
 )
 from recipefuzz.plateau import REARM_AFTER_COOLDOWN, THETA_EXECS, DetectorConfig
 from recipefuzz.providers import (
@@ -45,6 +45,7 @@ from recipefuzz.providers import (
 from recipefuzz.recipe import OperatorKind, parse_recipe
 from recipefuzz.stats import parse_run_dir
 from recipefuzz.targets import (
+    DEFAULT_MAP_SIZE,
     PARSER_SEEDS,
     ExecResult,
     ParserTarget,
@@ -316,17 +317,20 @@ def artifact_sha256(out):
 # admission order, favored-set membership or rng draws shows up here.
 # The two re-armed staircase logs were re-recorded when the gate began
 # skipping a corpus it had judged; PROJECTED pins what else they hold.
+# The three gated logs were re-recorded when snapshots stopped being
+# written and the config digest gained the cooldown; V1_PROJECTED pins
+# what else they hold.
 GOLDEN = {
     "parser": {
         "fuzzer_stats": "6450b3b4f9a974b2705f553d4d0aa955f5657bdc65ae4d1a7028034e609b0a9b",
         "coverage.csv": "9f85255aee84962f2ddb021d3a401df5f92d72ad94c8dd2e7003df34d48c3fd7",
-        "events.jsonl": "e8ecae1d00fe719cf2d64e09048c99f39759a614dff781980e25faa9457d324f",
+        "events.jsonl": "05e367583346897f01edbcb0627b5a7b5d24508a745af42e07958955bf5a02e0",
         "queue": "161d5b4c9b9d6ae342ea8355d6284065965b20990869ff7a19e93d47b028d613",
     },
     "staircase": {
         "fuzzer_stats": "9120fcc67f124591c94af6e0cc345d34eadd7933df24e4a2487ae05c8317ab61",
         "coverage.csv": "1081d71cdf311213791676048f0d047007a6c21e504a9956ba4c9fe30f845eb3",
-        "events.jsonl": "d4c59ccc4f95ae0cf0639102577214ff30930c8f0ad1257ceb0c869a34a5fce7",
+        "events.jsonl": "fd5ed5a00422217358286258f8104fffd4ab71f2aa3da2445e95ac707155bad4",
         "queue": "531437780f62852c9cdcdc88ed32009fd4b1f38ca3a4ffc92abb0192915bf32f",
     },
     "bigram": {
@@ -344,7 +348,7 @@ GOLDEN = {
     "staircase-no-mutator": {
         "fuzzer_stats": "a29cadbd1f2b69f08288a384686db2e07c49cf1f7ccefc303922d036e79ad889",
         "coverage.csv": "dcfe2d8e4d9c516fe10e39dfa80f67957768774dcc7aefe893fa24e0459e219a",
-        "events.jsonl": "8a68a7bd8cfad2c747dc73fbf21cda1dcbdef79e09374f8fb6bbd6a9f84e08a0",
+        "events.jsonl": "63e85d55c0b8c086a5c56a069908d0e20d555af56a8ade8f76d75b341e1545a1",
         "queue": "83b055b81022f7a3d8e5ffe60df64b539933031e7b1c9abbec0ca846e60dde34",
     },
     "bigram-baseline": {
@@ -386,12 +390,41 @@ def project_skipped_cycles(text: str) -> str:
 
 
 # project_skipped_cycles of the re-armed golden campaigns' events.jsonl,
-# recorded from the code that re-ran the gate on every plateau. The
-# projection of today's log must match: skipping a judged corpus changes
-# nothing else in the log.
+# first recorded from the code that re-ran the gate on every plateau, and
+# re-recorded with GOLDEN's gated logs, whose other content V1_PROJECTED
+# ties to the log those first digests were taken from. The projection of
+# today's log must match: skipping a judged corpus changes nothing else.
 PROJECTED = {
-    "staircase": "78545aab5e8a741855895f69c853c9b38e846c086850e5ba4bd771da13ed9f91",
-    "staircase-no-mutator": "fafabccba4269811e5f6284c86dfbdf37aff08a97f25c3c839471e6f33d3c5a3",
+    "staircase": "e78c16ae98db0baf9fbda9920d4bc65eda555455bd33d52dee61d315fc87b9f4",
+    "staircase-no-mutator": "a99694645c2ff58e4ff827a0e2a550fb02769d949ad996f6d4882f74d059ebab",
+}
+
+
+def project_v1(text: str) -> str:
+    """An events.jsonl less what the log dropped when snapshots stopped
+    being written: corpus_snapshot's path, proposal_recorded's
+    fallback_used, and every top-level context_hash (the blackboard lost
+    the snapshot path and the config digest gained the cooldown). Every
+    line is re-serialized as AuditEvent.to_json_line writes it."""
+    lines = []
+    for line in text.splitlines():
+        event = json.loads(line)
+        event.pop("context_hash", None)
+        if event["kind"] == "corpus_snapshot":
+            event["payload"].pop("path", None)
+        if event["kind"] == "proposal_recorded":
+            event["payload"].pop("fallback_used", None)
+        lines.append(json.dumps(event, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+# project_v1 of the gated golden campaigns' events.jsonl, recorded from the
+# code that wrote snapshots/ and logged each snapshot's path. Today's log
+# must project to the same bytes: nothing else in it changed.
+V1_PROJECTED = {
+    "parser": "23e7abf4fad1b5dc80c5b3968c790e7227092942afe814f647c0a51d91632016",
+    "staircase": "5a0d45764cfb93e6adb0d1143a0522b5c9b1150dbdb73ca18c2cc0a32a6d9d79",
+    "staircase-no-mutator": "58f09125bf1d358dc37ed4f23b1a33fa1c7914ba0fdcf8e487b6203058046653",
 }
 
 
@@ -415,6 +448,16 @@ class TestGoldenArtifacts:
             line for line in text.splitlines(keepends=True) if '"gate_skipped"' not in line
         )
         assert hashlib.sha256(projected.encode()).hexdigest() == PROJECTED[name]
+
+    @pytest.mark.parametrize("name", sorted(V1_PROJECTED))
+    def test_dropped_fields_are_the_only_change_to_the_log(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _, config, executor, seeds = next(c for c in golden_campaigns() if c[0] == name)
+        artifacts = run_campaign(config, executor, seeds)
+        text = (artifacts.output_dir / "events.jsonl").read_text()
+        assert '"path"' not in text and "fallback_used" not in text
+        projected = project_v1(text)
+        assert hashlib.sha256(projected.encode()).hexdigest() == V1_PROJECTED[name]
 
 
 def run_golden(name, out, **overrides):
@@ -473,10 +516,9 @@ class TestGateSkip:
 
     def test_no_snapshot_for_skipped_cycles(self, staircase_run):
         cycles = events_by_cycle(staircase_run.events)
-        gated = {f"cycle_{n:02d}" for n, evs in cycles.items() if snapshot_of(evs) is not None}
-        snapshots = staircase_run.output_dir / "snapshots"
-        assert {p.name for p in snapshots.iterdir()} == gated
-        assert len(gated) < len(cycles)
+        gated = [n for n, evs in cycles.items() if snapshot_of(evs) is not None]
+        assert 0 < len(gated) < len(cycles)
+        assert not (staircase_run.output_dir / "snapshots").exists()
 
     def test_gate_runs_again_after_promotion_grows_corpus(self, staircase_run):
         cycles = events_by_cycle(staircase_run.events)
@@ -494,9 +536,11 @@ class TestGateSkip:
         kinds = kinds_of(artifacts)
         assert kinds.count("plateau_detected") == kinds.count("corpus_snapshot") > 1
         assert "gate_skipped" not in kinds
-        snapshots = artifacts.output_dir / "snapshots"
-        assert len(list(snapshots.iterdir())) == kinds.count("plateau_detected")
-        assert all([p.name for p in d.iterdir()] == ["manifest.json"] for d in snapshots.iterdir())
+        # A snapshot is logged, never written.
+        assert sorted(p.name for p in artifacts.output_dir.iterdir()) == [
+            "candidates", "coverage.csv", "events.jsonl", "fuzzer_stats", "queue",
+            "run_metadata.json",
+        ]
 
     def test_snapshot_and_decide_calls_pair(self, tmp_path, monkeypatch):
         # campaignbench/child.py times a plateau from its snapshot_corpus
@@ -527,24 +571,27 @@ def check_reexecution(out):
     directory alone, asserting that each micro_result and gate decision
     comes back as logged; returns the number of gated cycles.
 
-    A cycle's corpus is its snapshot manifest over queue/. A micro_result's
+    The queue only grows, so a cycle's corpus is the queue entries whose
+    admission index (id_NNNNNN_...) is below its logged entry count, and
+    their snapshot digest must be the logged one. A micro_result's
     candidate is the cycle's schema-valid proposal of its intervention,
     read from candidates/<response_hash>.json. Its seed is micro_seed of
     run_metadata's seed, the cycle and its index; its budget the logged
-    execs.
+    execs; its map run_metadata's map_capacity.
     """
     meta = json.loads((out / "run_metadata.json").read_text())
     executor = get_target(meta["target"])
     events = load_events(out / "events.jsonl")
+    queue = read_queue(out / "queue")
     gated = 0
     for n, evs in events_by_cycle(events).items():
         micro = [e.payload for e in evs if e.kind == "micro_result"]
         if not micro:
             continue
         gated += 1
-        manifest = json.loads((out / "snapshots" / f"cycle_{n:02d}" / "manifest.json").read_text())
-        entries = [make_entry(name, (out / "queue" / name).read_bytes()) for name in sorted(manifest)]
-        assert {e.seed_id: e.seed_hash for e in entries} == manifest
+        logged = snapshot_of(evs).payload
+        entries = queue[: logged["entries"]]
+        assert snapshot_corpus(entries).digest == logged["digest"]
         documents = {
             e.payload["intervention"]: e.response_hash
             for e in evs
@@ -564,6 +611,7 @@ def check_reexecution(out):
                 executor,
                 micro_seed(meta["seed"], n, i),
                 logged["execs"],
+                meta["map_capacity"],
             )
             assert asdict(result) == logged
             results.append(result)
@@ -587,6 +635,26 @@ class TestReexecution:
     def test_gate_reexecutes_from_run_dir(self, name, cycles, tmp_path):
         out = run_golden(name, tmp_path).output_dir
         assert check_reexecution(out) == cycles
+
+    def test_reexecution_uses_the_logged_map_capacity(self, tmp_path):
+        # With 1,000 slots the staircase's gated edges 2000-2003 land on
+        # slots the base edges hold, so the dictionary candidate finds one
+        # new slot where the default 4,096 give four: a re-execution at
+        # another map size scores the gate differently.
+        out = run_golden("staircase", tmp_path, map_capacity=1000).output_dir
+        assert check_reexecution(out) == 2
+        events = load_events(out / "events.jsonl")
+        first = next(
+            e.payload for e in events
+            if e.kind == "micro_result" and e.payload["intervention"] == "dictionary"
+        )
+        assert first["delta_edges"] == 1
+        meta_path = out / "run_metadata.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["map_capacity"] == 1000
+        meta_path.write_text(json.dumps({**meta, "map_capacity": DEFAULT_MAP_SIZE}))
+        with pytest.raises(AssertionError):
+            check_reexecution(out)
 
     def test_schema_invalid_document_kept(self, tmp_path):
         artifacts = run_campaign(saturated_config(tmp_path, providers=(BadDocProvider(),)))
@@ -825,13 +893,11 @@ class TestRunsEachInputOnce:
 
     def test_forgetting_runs_changes_no_artifact(self, tmp_path, monkeypatch):
         # A campaign that forgets the inputs it ran every 16 runs them
-        # again, and writes the same artifacts. Both runs write to the
-        # same relative path, as logged snapshot paths embed it.
+        # again, and writes the same artifacts.
         def run(cap, name):
             monkeypatch.setattr(controller_module, "RAN_CAP", cap)
-            (tmp_path / name).mkdir()
-            monkeypatch.chdir(tmp_path / name)
             _, config, _, _ = next(c for c in golden_campaigns() if c[0] == "staircase")
+            config.output_dir = tmp_path / name
             executor = CountingExecutor(StaircaseTarget())
             artifacts = run_campaign(config, executor)
             return artifact_sha256(artifacts.output_dir), executor.calls
@@ -902,20 +968,19 @@ class TestBudgetsAndDeterminism:
         frames = 3 * controller_module.FRAME_EXECS
         assert artifacts.execs_done == len(default_seeds("parser")) + frames
 
-    def test_identical_runs(self, tmp_path):
+    def test_identical_runs(self, tmp_path, monkeypatch):
+        # One seed, written to an absolute and to a relative directory:
+        # nothing logged or digested depends on where the run lives.
         a = run_campaign(saturated_config(tmp_path, output_dir=tmp_path / "a"))
-        b = run_campaign(saturated_config(tmp_path, output_dir=tmp_path / "b"))
+        monkeypatch.chdir(tmp_path)
+        b = run_campaign(saturated_config(tmp_path, output_dir=Path("b")))
+        assert "corpus_snapshot" in kinds_of(a)
         assert a.fuzzer_stats == b.fuzzer_stats
         assert a.coverage_series == b.coverage_series
-        # Snapshot paths embed the output directory; everything else must
-        # be bit-identical.
-        lines_a = [
-            e.to_json_line().replace(str(a.output_dir), "OUT") for e in a.events
-        ]
-        lines_b = [
-            e.to_json_line().replace(str(b.output_dir), "OUT") for e in b.events
-        ]
-        assert lines_a == lines_b
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert (out_a / "events.jsonl").read_bytes() == (out_b / "events.jsonl").read_bytes()
+        meta_a, meta_b = (json.loads((out / "run_metadata.json").read_text()) for out in (out_a, out_b))
+        assert meta_a["artifact_digests"] == meta_b["artifact_digests"]
 
     def test_rerun_into_same_directory_is_clean(self, tmp_path):
         config = saturated_config(tmp_path)
@@ -1106,9 +1171,9 @@ class TestArtifacts:
             ).hexdigest()
             assert actual == digest
 
-    def test_snapshot_on_disk(self, tmp_path, monkeypatch):
-        # A snapshot is its manifest: the entry bytes stay in queue/, and
-        # snapshot_digest reads them back from there.
+    def test_snapshot_is_logged_not_written(self, tmp_path, monkeypatch):
+        # A snapshot is the first `entries` queue entries: the log holds its
+        # size and digest, and queue/ its bytes. Nothing else is written.
         refs = []
         real = controller_module.snapshot_corpus
 
@@ -1119,14 +1184,10 @@ class TestArtifacts:
         monkeypatch.setattr(controller_module, "snapshot_corpus", recorded)
         artifacts = run_campaign(saturated_config(tmp_path))
         snap = next(e for e in artifacts.events if e.kind == "corpus_snapshot")
-        snap_dir = artifacts.output_dir / "snapshots" / "cycle_01"
-        ref = refs[0]
-        assert ref.path == snap_dir
-        assert [p.name for p in snap_dir.iterdir()] == ["manifest.json"]
-        manifest = json.loads((snap_dir / "manifest.json").read_text())
-        assert snap.payload["entries"] == len(manifest) == len(ref.entries)
-        queue = artifacts.output_dir / "queue"
-        assert snapshot_digest(ref, queue) == ref.digest == snap.payload["digest"]
+        assert snap.payload == {"entries": len(refs[0].entries), "digest": refs[0].digest}
+        assert not (artifacts.output_dir / "snapshots").exists()
+        entries = read_queue(artifacts.output_dir / "queue")[: snap.payload["entries"]]
+        assert entries == refs[0].entries
 
 
 def make_blackboard(seeds=None, **overrides):
@@ -1138,7 +1199,7 @@ def make_blackboard(seeds=None, **overrides):
             {"seed_id": "s1", "seed_hash": "h1", "size": 40, "family": "default"},
         ]
     doc = {
-        "snapshot": {"path": "/tmp/snap", "digest": "d" * 64, "seeds": list(seeds)},
+        "snapshot": {"digest": "d" * 64, "seeds": list(seeds)},
         "recent_stats": [{"t": 1.0, "execs_done": 10, "paths_total": 2, "edges_found": 5}],
         "static_context": {"available": False, "tokens": []},
         "config_digest": "c" * 64,
@@ -1163,14 +1224,14 @@ class TestHashing:
         )
         assert hash_context(a) != hash_context(b)
 
-    # Recorded before the fixed settings became constants: the digest
-    # document, and so every config_digest and context_hash, is unchanged.
+    # Re-recorded when the digest document gained detector.cooldown_sec
+    # and lost the micro_budget_sec placeholder.
     @pytest.mark.parametrize(
         "overrides, digest",
         [
             (
                 dict(target="parser", budget_execs=3000),
-                "dd22958a573b9570a5dfe8186b2ade8227a87b214cd50960443b57de24b811c8",
+                "8921a40b64675786759943c4ba3bc781ab45531cff46169172ddfa0142ba38de",
             ),
             (
                 dict(
@@ -1179,7 +1240,7 @@ class TestHashing:
                     static_tokens=(b"XKEY1",),
                     micro_budget_execs=200,
                 ),
-                "c2a1bb395f350420479657fabc31d8cac899ac39dfa38efbbbc5c357c6960838",
+                "ce956d69362cff614cea273667d83cf254d63352f53a252b00a1157d4c0c1cd0",
             ),
         ],
         ids=["default", "tokens"],
@@ -1187,10 +1248,18 @@ class TestHashing:
     def test_config_digest_pinned(self, overrides, digest, tmp_path):
         assert CampaignConfig(output_dir=tmp_path, **overrides).digest() == digest
 
+    def test_cooldown_changes_digest(self, tmp_path):
+        # The cooldown sets when a re-arming detector fires again, so two
+        # configs that differ only there must not share a config digest.
+        def digest(cooldown):
+            detector = DetectorConfig(rearm_policy=REARM_AFTER_COOLDOWN, cooldown_sec=cooldown)
+            return CampaignConfig(output_dir=tmp_path, budget_execs=10, detector=detector).digest()
+
+        assert digest(5) != digest(500)
+
     def test_response_hash(self):
-        assert hash_response("doc") == hash_response(b"doc")
-        assert len(hash_response("doc")) == 64
-        assert hash_response("doc") != hash_response("doc2")
+        assert hash_response(b"doc") == hashlib.sha256(b"doc").hexdigest()
+        assert hash_response(b"doc") != hash_response(b"doc2")
 
 
 # sha256 of each built-in recipe document, recorded before the documents
@@ -1215,18 +1284,18 @@ class TestBuiltinDocuments:
             bb = make_blackboard(static_context={"available": True, "tokens": ["null", "true"]})
         text = RuleProvider().propose(bb, intervention)
         key = "dictionary-static" if static and intervention == "dictionary" else intervention
-        assert hash_response(text) == DOCUMENT_PINS[key]
+        assert hash_response(text.encode()) == DOCUMENT_PINS[key]
 
     def test_default(self):
-        assert hash_response(default_recipe_doc()) == DOCUMENT_PINS["default"]
+        assert hash_response(default_recipe_doc().encode()) == DOCUMENT_PINS["default"]
 
     def test_static_token_provider(self):
         text = StaticTokenProvider([b"XKEY1"]).propose({}, "dictionary")
-        assert hash_response(text) == DOCUMENT_PINS["static-dict"]
+        assert hash_response(text.encode()) == DOCUMENT_PINS["static-dict"]
         assert StaticTokenProvider([b"XKEY1"]).propose({}, "default") is None
 
     def test_cli_reference(self):
-        assert hash_response(_reference_recipe_doc()) == DOCUMENT_PINS["reference"]
+        assert hash_response(_reference_recipe_doc().encode()) == DOCUMENT_PINS["reference"]
 
 
 class BadDocProvider:
@@ -1302,7 +1371,6 @@ class TestProposeCandidates:
         bad = [r for r in records if not r["schema_valid"]]
         assert len(bad) == 1
         assert bad[0]["error_kind"] == "schema_invalid"
-        assert bad[0]["fallback_used"] is False
         assert bad[0]["provider"] == "bad-doc"
         # The slot was still filled by the rule provider.
         dictionary = next(c for c in candidates if c.intervention == "dictionary")
@@ -1340,10 +1408,9 @@ class TestProposeCandidates:
                 "provider": "rule",
                 "intervention": intervention,
                 "schema_valid": True,
-                "fallback_used": False,
                 "recipe_id": DEFAULT_RECIPE_ID,
                 "context_hash": hash_context(bb),
-                "response_hash": hash_response(default_recipe_doc()),
+                "response_hash": hash_response(default_recipe_doc().encode()),
                 "document": default_recipe_doc().encode(),
             }
             candidate = next(c for c in candidates if c.intervention == intervention)

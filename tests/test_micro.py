@@ -21,13 +21,10 @@ from recipefuzz.micro import (
     PromotionDecision,
     RewardWeights,
     compute_reward,
-    corpus_digest,
-    corpus_manifest,
     decide_winner,
     evaluate_candidate,
     read_queue,
     snapshot_corpus,
-    snapshot_digest,
 )
 from recipefuzz.providers import RuleProvider, StaticTokenProvider
 from recipefuzz.recipe import lower_recipe, parse_recipe
@@ -122,56 +119,44 @@ class TestComputeReward:
 
 class TestSnapshot:
     def test_manifest_only(self, tmp_path):
+        # A snapshot writes nothing: it is its sorted entries and the sha256
+        # of the canonical {seed_id: seed_hash} manifest, in any entry order.
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two"), ("c", b"three")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+        entries = read_queue(queue)
+        ref = snapshot_corpus(reversed(entries))
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
         assert [e.seed_id for e in ref.entries] == ["a", "b", "c"]
-        assert [p.name for p in ref.path.iterdir()] == ["manifest.json"]
-        manifest = json.loads((ref.path / "manifest.json").read_text())
-        assert manifest == {e.seed_id: e.seed_hash for e in ref.entries}
-        assert snapshot_digest(ref, queue) == ref.digest
+        manifest = json.dumps({e.seed_id: e.seed_hash for e in entries}, sort_keys=True)
+        assert ref.digest == hashlib.sha256(manifest.encode()).hexdigest()
+        shuffled = list(entries)
+        random.Random(1).shuffle(shuffled)
+        assert snapshot_corpus(shuffled) == ref
 
     def test_empty_queue(self, tmp_path):
         queue = tmp_path / "queue"
         queue.mkdir()
         with pytest.raises(EmptyQueue):
-            snapshot_corpus(read_queue(queue), tmp_path / "snap")
+            snapshot_corpus(read_queue(queue))
 
     def test_digest_reads_the_queue_bytes(self, tmp_path):
-        # The snapshot holds no copy of its entries: snapshot_digest reads
-        # them from the queue, so it sees a changed byte in an entry the
-        # manifest names, and only such a change.
+        # A re-execution reads a snapshot back as the first len(entries)
+        # queue files in name order: an entry added later leaves its digest
+        # alone, and a changed byte in one of its entries changes it. The
+        # ref keeps the bytes it was given.
         queue = fill_queue(tmp_path, [("a", b"one"), ("b", b"two")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
-        (queue / "new").write_bytes(b"added later")
-        assert snapshot_digest(ref, queue) == ref.digest
+        ref = snapshot_corpus(read_queue(queue))
+        (queue / "c").write_bytes(b"added later")
+        assert snapshot_corpus(read_queue(queue)[:2]).digest == ref.digest
         data = bytearray((queue / "a").read_bytes())
         data[1] ^= 0x01
         (queue / "a").write_bytes(bytes(data))
-        assert snapshot_digest(ref, queue) != ref.digest
+        assert snapshot_corpus(read_queue(queue)[:2]).digest != ref.digest
         assert ref.entries[0].data == b"one"
-
-    def test_entry_named_like_the_manifest(self, tmp_path):
-        queue = fill_queue(tmp_path, [("manifest.json", b"entry bytes"), ("z", b"zz")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
-        manifest = json.loads((ref.path / "manifest.json").read_text())
-        assert manifest == {e.seed_id: e.seed_hash for e in ref.entries}
-        assert (queue / "manifest.json").read_bytes() == b"entry bytes"
-        assert snapshot_digest(ref, queue) == ref.digest
-
-    def test_corpus_digest_is_the_snapshot_digest(self, tmp_path):
-        queue = fill_queue(tmp_path, default_seeds("parser"))
-        entries = [make_entry(name, data) for name, data in default_seeds("parser")]
-        ref = snapshot_corpus(entries, tmp_path / "snap")
-        assert corpus_digest(entries) == ref.digest == snapshot_digest(ref, queue)
-        assert (ref.path / "manifest.json").read_bytes() == corpus_manifest(entries)
-        shuffled = entries[:]
-        random.Random(0).shuffle(shuffled)
-        assert shuffled != entries
-        assert corpus_digest(shuffled) == corpus_digest(reversed(entries)) == ref.digest
 
     def test_load_entries(self, tmp_path):
         queue = fill_queue(tmp_path, [("x", b"payload")])
-        ref = snapshot_corpus(read_queue(queue), tmp_path / "snap")
+        ref = snapshot_corpus(read_queue(queue))
         entries = ref.entries
         assert entries[0].data == b"payload"
         assert entries[0].seed_id == "x"
