@@ -67,21 +67,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", required=True, help="output directory for run artifacts")
     p_run.add_argument("--dict", dest="dict_file", default=None, help="dictionary file feeding the blackboard")
-    p_run.add_argument("--micro-execs", type=int, default=500, help="micro-campaign budget per candidate")
 
     p_mut = sub.add_parser("mutate", help="apply one recipe mutation to a file")
     p_mut.add_argument("--recipe", required=True, help="recipe file or built-in name (default, reference)")
     p_mut.add_argument("--input", required=True)
     p_mut.add_argument("--seed", type=int, default=0)
     p_mut.add_argument("--out", default=None, help="output file (stdout as raw bytes when omitted)")
-    p_mut.add_argument("--max-size", type=int, default=micro.MAX_SIZE)
 
     p_micro = sub.add_parser("micro", help="evaluate one candidate recipe against a queue directory")
     p_micro.add_argument("--target", default="parser")
     p_micro.add_argument("--queue", required=True, help="queue directory whose entries seed the run")
     p_micro.add_argument("--recipe", required=True)
     p_micro.add_argument("--seed", type=int, default=0)
-    p_micro.add_argument("--budget-execs", type=int, default=500, help="mutation calls to spend")
 
     p_bench = sub.add_parser("microbench", help="mutator dispatch-cost protocol")
     p_bench.add_argument("--config", default="all", choices=engine.BENCH_CONFIGS + ("all",))
@@ -117,7 +114,6 @@ def _cmd_run(args) -> int:
         budget_sec=args.budget,
         budget_execs=args.exec_budget,
         rng_seed=args.seed,
-        micro_budget_execs=args.micro_execs,
         static_tokens=static_tokens,
     )
     artifacts = controller.run_campaign(config)
@@ -133,7 +129,7 @@ def _cmd_mutate(args) -> int:
     data = Path(args.input).read_bytes()
     rng = random.Random(args.seed)
     entry = engine.make_entry("input", data)
-    outcome = engine.mutate(compact, data, (entry,), rng, args.max_size, seed=entry)
+    outcome = engine.mutate(compact, data, (entry,), rng, micro.MAX_SIZE, seed=entry)
     if args.out:
         Path(args.out).write_bytes(outcome.output)
     else:
@@ -150,9 +146,7 @@ def _cmd_micro(args) -> int:
         recipe=recipe, intervention="dictionary", candidate_id=f"cli_{recipe.id}"
     )
     entries = micro.read_queue(args.queue)
-    result = micro.evaluate_candidate(
-        candidate, entries, target, args.seed, budget_execs=args.budget_execs
-    )
+    result = micro.evaluate_candidate(candidate, entries, target, args.seed)
     for key, value in dataclasses.asdict(result).items():
         print(f"{key:<16}: {value}")
     return EXIT_OK

@@ -30,6 +30,7 @@ from pathlib import Path
 from .engine import CorpusEntry, make_entry, mutate
 from .micro import (
     Candidate,
+    GATE_EXECS,
     INTERVENTIONS,
     MAX_SIZE,
     REWARD,
@@ -71,8 +72,8 @@ UNLOGGED_RECORD_KEYS = ("context_hash", "response_hash", "document")
 SCHEDULE_ENERGY = 4
 SKIP_NON_FAVORED = 0.75
 
-# The fixed campaign shape, with micro.MAX_SIZE and micro.REWARD:
-# executions per telemetry frame (one virtual second).
+# The fixed campaign shape, with micro.MAX_SIZE, micro.REWARD and
+# micro.GATE_EXECS: executions per telemetry frame (one virtual second).
 FRAME_EXECS = 4
 
 # The most inputs a campaign remembers having run before it forgets them
@@ -137,7 +138,6 @@ class CampaignConfig:
     budget_execs: int | None = None
     rng_seed: int = 0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    micro_budget_execs: int = 500
     providers: tuple = ()
     static_tokens: tuple[bytes, ...] = ()
     map_capacity: int = DEFAULT_MAP_SIZE
@@ -159,7 +159,7 @@ class CampaignConfig:
             "frame_execs": FRAME_EXECS,
             # One candidate slot per intervention.
             "k_cand": len(INTERVENTIONS),
-            "micro_budget_execs": self.micro_budget_execs,
+            "micro_budget_execs": GATE_EXECS,
             "reward": [REWARD.alpha, REWARD.beta, REWARD.gamma, REWARD.delta_h, REWARD.delta_m],
             "providers": [getattr(p, "name", type(p).__name__) for p in self.providers],
             "static_tokens": [t.decode("latin-1") for t in self.static_tokens],
@@ -180,8 +180,6 @@ def validate_config(config: CampaignConfig) -> None:
         raise ConfigInvalid("budget_sec must be finite and >= 0")
     if config.budget_execs is not None and config.budget_execs < 0:
         raise ConfigInvalid("budget_execs must be >= 0")
-    if config.micro_budget_execs < 1:
-        raise ConfigInvalid("micro_budget_execs must be >= 1")
     if config.map_capacity < 1:
         raise ConfigInvalid("map_capacity must be >= 1")
 
@@ -422,7 +420,6 @@ class _Campaign:
                 snapshot.entries,
                 self.executor,
                 micro_seed(self.config.rng_seed, cycle, i),
-                budget_execs=self.config.micro_budget_execs,
                 map_capacity=self.config.map_capacity,
             )
             results.append(result)
@@ -552,8 +549,6 @@ class _Campaign:
             "seed": self.config.rng_seed,
             "map_capacity": self.config.map_capacity,
             "config_digest": self.config_digest,
-            "active_recipe_id": self.active.id if self.active else None,
-            "promotions": self.promotions,
             "artifact_digests": digests,
         }
         (self.out / "run_metadata.json").write_text(json.dumps(meta, indent=2))

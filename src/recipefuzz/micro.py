@@ -18,13 +18,13 @@ A well-formed recipe on a fully saturated corpus therefore scores exactly
 0.0, a recipe that cannot engage scores negative, and a discovering recipe
 scores positive.
 
-A micro-campaign has one budget, an exec count, so a snapshot, recipe and
-seed always give the same result. The budget counts mutation calls. The
-target runs each distinct input once: a call whose output has already run
-in this micro-campaign (a miss hands back its entry unchanged, and a
-mutation can repeat) is charged to the budget without a target run, since
-for a deterministic executor a repeat finds nothing. So MicroResult.execs
-is the budget spent, not the number of target runs.
+A micro-campaign has one budget, GATE_EXECS mutation calls, so a
+snapshot, recipe and seed always give the same result. The target runs
+each distinct input once: a call whose output has already run in this
+micro-campaign (a miss hands back its entry unchanged, and a mutation can
+repeat) is charged to the budget without a target run, since for a
+deterministic executor a repeat finds nothing. So MicroResult.execs is
+the budget spent, not the number of target runs.
 """
 
 from __future__ import annotations
@@ -49,16 +49,15 @@ REASON_NO_SUCCESS = "no_successful_micro_campaign"
 # The largest input a campaign's main loop or its gate may produce.
 MAX_SIZE = 1024
 
+# The mutation calls each gate run spends.
+GATE_EXECS = 500
+
 
 class EmptyQueue(ValueError):
     pass
 
 
 class IoFailure(OSError):
-    pass
-
-
-class BudgetZero(ValueError):
     pass
 
 
@@ -234,7 +233,6 @@ def evaluate_candidate(
     entries: Sequence[CorpusEntry],
     executor,
     rng_seed: int,
-    budget_execs: int,
     map_capacity: int = DEFAULT_MAP_SIZE,
 ) -> MicroResult:
     """Score one candidate in an isolated run seeded from corpus entries.
@@ -244,9 +242,9 @@ def evaluate_candidate(
     its own coverage map; deltas are measured against the entries'
     replayed baseline: delta_edges and delta_crashes are the growth of the
     map and crash set past it, and delta_paths (= hits) counts calls that
-    found new coverage. The one budget is budget_execs mutation
-    calls (a campaign's micro_budget_execs, 500 by default), so the run is
-    reproducible from rng_seed. The reward is weighted by REWARD.
+    found new coverage. The one budget is GATE_EXECS mutation calls, so
+    the run is reproducible from rng_seed. The reward is weighted by
+    REWARD.
 
     Each mutation call spends one exec of the budget. An output that has
     run already, the replay included, is charged without running the
@@ -254,9 +252,6 @@ def evaluate_candidate(
     once per entry plus once per distinct new output, each through
     run_input.
     """
-    if budget_execs <= 0:
-        raise BudgetZero(f"budget_execs must be > 0, got {budget_execs}")
-
     corpus = list(entries)
     if not corpus:
         raise EmptyQueue("no corpus entries to start from")
@@ -275,7 +270,7 @@ def evaluate_candidate(
 
     delta_paths = misses = 0
 
-    for execs in range(1, budget_execs + 1):
+    for execs in range(1, GATE_EXECS + 1):
         entry = corpus[(execs - 1) % len(corpus)]
         outcome = mutate(compact, entry.data, corpus, rng, MAX_SIZE, seed=entry)
         misses += outcome.miss
@@ -300,7 +295,7 @@ def evaluate_candidate(
         delta_crashes=delta_crashes,
         hits=delta_paths,
         misses=misses,
-        execs=budget_execs,
+        execs=GATE_EXECS,
         reward=reward,
         bitmap_available=True,
     )

@@ -26,7 +26,6 @@ def run_cli(capsys, *argv):
         (controller.ConfigInvalid("x"), 5),
         (recipe.SchemaViolation([("id", "x")]), 5),
         (micro.EmptyQueue("x"), 5),
-        (micro.BudgetZero("x"), 5),
         (micro.EmptyResults("x"), 5),
         (engine.ZeroCalls("x"), 5),
         (elfdict.NotElf("x"), 5),
@@ -67,6 +66,21 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--frobnicate"])
         assert exc.value.code == 2
+
+    def test_campaign_shape_flags_are_gone(self, tmp_path, capsys):
+        # The gate budget is micro.GATE_EXECS and the input limit
+        # micro.MAX_SIZE, in every campaign and every subcommand.
+        inp = tmp_path / "a"
+        inp.write_bytes(b"[1]")
+        for argv in (
+            ["run", "--exec-budget", "100", "--micro-execs", "500", "--out", str(tmp_path / "x")],
+            ["micro", "--queue", str(tmp_path), "--recipe", "default", "--budget-execs", "500"],
+            ["mutate", "--recipe", "default", "--input", str(inp), "--max-size", "1024"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv[0]
+        assert not (tmp_path / "x").exists()
 
 
 class TestRun:
@@ -114,15 +128,6 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--budget", budget, "--out", str(out))
         assert code == 5
         assert "budget_sec must be finite" in err
-        assert not out.exists()
-
-    def test_zero_micro_execs_exits_5_before_writing(self, tmp_path, capsys):
-        out = tmp_path / "x"
-        code, _, err = run_cli(
-            capsys, "run", "--exec-budget", "2000", "--micro-execs", "0", "--out", str(out)
-        )
-        assert code == 5
-        assert "micro_budget_execs" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -236,29 +241,19 @@ class TestMutate:
             assert err == f"op=none hit=0 size={len(data)}\n"
             assert out.read_bytes() == data
 
-    @pytest.mark.parametrize("size", [0, 101])
+    @pytest.mark.parametrize("size", [0, micro.MAX_SIZE + 1])
     def test_input_outside_max_size_exits_5(self, size, tmp_path, capsys):
-        # mutate's outputs stay within 1..max_size, so it takes only such
-        # inputs: a 101-byte input with --max-size 10 used to come back
-        # 101 bytes long, with exit 0.
+        # mutate's outputs stay within 1..MAX_SIZE, the limit on every
+        # campaign input, so it takes only such inputs.
         inp = tmp_path / "a"
         inp.write_bytes(b"x" * size)
         out = tmp_path / "o"
         code, _, err = run_cli(
-            capsys, "mutate", "--recipe", "default", "--input", str(inp),
-            "--max-size", "10", "--out", str(out),
+            capsys, "mutate", "--recipe", "default", "--input", str(inp), "--out", str(out),
         )
         assert code == 5
-        assert f"input is {size} bytes; mutate takes 1..10 bytes" in err
+        assert f"input is {size} bytes; mutate takes 1..{micro.MAX_SIZE} bytes" in err
         assert not out.exists()
-
-    def test_default_max_size_is_the_campaign_limit(self, tmp_path, capsys):
-        inp = tmp_path / "a"
-        size = micro.MAX_SIZE
-        inp.write_bytes(b"x" * (size + 1))
-        code, _, err = run_cli(capsys, "mutate", "--recipe", "default", "--input", str(inp))
-        assert code == 5
-        assert f"input is {size + 1} bytes; mutate takes 1..{size} bytes" in err
 
 
 def micro_fields(stdout):
@@ -296,8 +291,6 @@ class TestMicro:
             str(queue),
             "--recipe",
             str(recipe_file),
-            "--budget-execs",
-            "400",
             "--seed",
             "2",
         )
@@ -315,7 +308,7 @@ class TestMicro:
         (code1, out1, _), (code2, out2, err2) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert (code1, code2) == (0, 0), err2
         assert out1 == out2
-        assert micro_fields(out1)["execs"] == "500"
+        assert micro_fields(out1)["execs"] == str(micro.GATE_EXECS) == "500"
 
     def test_rerun_writes_nothing(self, tmp_path, capsys):
         queue = tmp_path / "queue"
@@ -327,11 +320,42 @@ class TestMicro:
             return {str(p): p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
 
         before = tree()
-        argv = ("micro", "--queue", str(queue), "--recipe", "default", "--budget-execs", "200")
+        argv = ("micro", "--queue", str(queue), "--recipe", "default")
         (code1, out1, _), (code2, out2, err2) = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert (code1, code2) == (0, 0), err2
         assert out1 == out2
         assert tree() == before
+
+    def test_reexecutes_a_campaign_gate(self, tmp_path, capsys):
+        # The saturated parser's queue stays at its seeds, so queue/ is the
+        # gated corpus, and `micro` given a logged candidate's document and
+        # its micro_seed prints that candidate's micro_result.
+        out = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "run", "--exec-budget", "30000", "--seed", "42", "--out", str(out)
+        )
+        assert code == 0, err
+        events = controller.load_events(out / "events.jsonl")
+        snapshot = next(e.payload for e in events if e.kind == "corpus_snapshot")
+        assert snapshot["entries"] == len(micro.read_queue(out / "queue")) == 21
+        documents = {
+            e.payload["intervention"]: out / "candidates" / f"{e.response_hash}.json"
+            for e in events
+            if e.kind == "proposal_recorded" and e.payload["schema_valid"]
+        }
+        logged = [e.payload for e in events if e.kind == "micro_result"]
+        assert len(logged) == len(micro.INTERVENTIONS)
+        for i, payload in enumerate(logged):
+            code, stdout, err = run_cli(
+                capsys, "micro", "--target", "parser", "--queue", str(out / "queue"),
+                "--recipe", str(documents[payload["intervention"]]),
+                "--seed", str(micro.micro_seed(42, 1, i)),
+            )
+            assert code == 0, err
+            fields = micro_fields(stdout)
+            del fields["candidate_id"]
+            skip = ("candidate_id", "intervention", "recipe_id")
+            assert fields == {k: str(v) for k, v in payload.items() if k not in skip}
 
     def test_snapshot_dir_option_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -361,10 +385,7 @@ class TestMicro:
     def test_empty_queue_exits_5(self, tmp_path, capsys):
         queue = tmp_path / "queue"
         queue.mkdir()
-        code, _, _ = run_cli(
-            capsys, "micro", "--queue", str(queue), "--recipe", "default",
-            "--budget-execs", "10",
-        )
+        code, _, _ = run_cli(capsys, "micro", "--queue", str(queue), "--recipe", "default")
         assert code == 5
 
 

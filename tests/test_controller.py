@@ -23,6 +23,7 @@ from recipefuzz.controller import (
 )
 from recipefuzz.cli import _reference_recipe_doc
 from recipefuzz.micro import (
+    GATE_EXECS,
     INTERVENTIONS,
     MAX_SIZE,
     Candidate,
@@ -137,8 +138,6 @@ class TestSaturatedCampaign:
         completed = artifacts.events[-1]
         assert completed.kind == "run_completed"
         assert completed.payload["active_recipe_id"] == DEFAULT_RECIPE_ID
-        meta = json.loads((artifacts.output_dir / "run_metadata.json").read_text())
-        assert meta["active_recipe_id"] == DEFAULT_RECIPE_ID
 
     def test_decision_replayable_from_event_log(self, tmp_path):
         artifacts = run_campaign(saturated_config(tmp_path))
@@ -576,8 +575,8 @@ def check_reexecution(out):
     their snapshot digest must be the logged one. A micro_result's
     candidate is the cycle's schema-valid proposal of its intervention,
     read from candidates/<response_hash>.json. Its seed is micro_seed of
-    run_metadata's seed, the cycle and its index; its budget the logged
-    execs; its map run_metadata's map_capacity.
+    run_metadata's seed, the cycle and its index; its map run_metadata's
+    map_capacity. Every logged execs is the gate's one budget, GATE_EXECS.
     """
     meta = json.loads((out / "run_metadata.json").read_text())
     executor = get_target(meta["target"])
@@ -605,12 +604,12 @@ def check_reexecution(out):
             document = (out / "candidates" / f"{documents[intervention]}.json").read_bytes()
             recipe = parse_recipe(document)
             assert recipe.id == recipe_id
+            assert logged["execs"] == GATE_EXECS
             result = evaluate_candidate(
                 Candidate(recipe, intervention, logged["candidate_id"]),
                 entries,
                 executor,
                 micro_seed(meta["seed"], n, i),
-                logged["execs"],
                 meta["map_capacity"],
             )
             assert asdict(result) == logged
@@ -1017,8 +1016,6 @@ class TestBudgetsAndDeterminism:
             )
         with pytest.raises(ConfigInvalid):
             run_campaign(saturated_config(tmp_path, target="mystery"))
-        with pytest.raises(ConfigInvalid):
-            run_campaign(saturated_config(tmp_path, micro_budget_execs=0))
         # 0 divided by zero mid-set-up; -7 ran and reported a negative
         # bitmap_cvg.
         for map_capacity in (0, -7):
@@ -1225,7 +1222,9 @@ class TestHashing:
         assert hash_context(a) != hash_context(b)
 
     # Re-recorded when the digest document gained detector.cooldown_sec
-    # and lost the micro_budget_sec placeholder.
+    # and lost the micro_budget_sec placeholder. The tokens case set
+    # micro_budget_execs=200 until the gate budget became GATE_EXECS; its
+    # pin is the digest the same config had with the default 500.
     @pytest.mark.parametrize(
         "overrides, digest",
         [
@@ -1238,9 +1237,8 @@ class TestHashing:
                     target="staircase",
                     budget_sec=5.0,
                     static_tokens=(b"XKEY1",),
-                    micro_budget_execs=200,
                 ),
-                "ce956d69362cff614cea273667d83cf254d63352f53a252b00a1157d4c0c1cd0",
+                "663f9eb7a9d3589fecec7979f9cc4743108c17c7db12ddee2cd5d17dea6d8504",
             ),
         ],
         ids=["default", "tokens"],

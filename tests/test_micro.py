@@ -9,9 +9,9 @@ import pytest
 
 from recipefuzz.engine import make_entry, mutate
 from recipefuzz.micro import (
+    GATE_EXECS,
     INTERVENTIONS,
     REWARD,
-    BudgetZero,
     Candidate,
     EmptyQueue,
     EmptyResults,
@@ -185,12 +185,12 @@ class TestEvaluateCandidate:
         candidate = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "dictionary", "c0"
         )
-        result = evaluate_candidate(candidate, entries, ParserTarget(), 1, budget_execs=400)
+        result = evaluate_candidate(candidate, entries, ParserTarget(), 1)
         assert result.delta_edges == 0
         assert result.delta_paths == 0
         assert result.delta_crashes == 0
         assert result.hits == 0
-        assert result.execs == 400
+        assert result.execs == GATE_EXECS
         assert result.reward <= 0.0
 
     def test_gate_token_candidate_discovers(self, tmp_path):
@@ -201,8 +201,8 @@ class TestEvaluateCandidate:
         garbage = Candidate(
             recipe_with_tokens(["FUZZ", "MAGIC", "TOKEN"]), "default", "garbage"
         )
-        r_gate = evaluate_candidate(gate, entries, target, 3, budget_execs=600)
-        r_garbage = evaluate_candidate(garbage, entries, target, 3, budget_execs=600)
+        r_gate = evaluate_candidate(gate, entries, target, 3)
+        r_garbage = evaluate_candidate(garbage, entries, target, 3)
         assert r_gate.delta_edges >= 4
         assert r_gate.reward > 0
         assert r_garbage.delta_edges == 0
@@ -219,16 +219,9 @@ class TestEvaluateCandidate:
             "seed_focus",
             "c1",
         )
-        result = evaluate_candidate(candidate, entries, ParserTarget(), 2, budget_execs=200)
-        assert result.misses == 200
+        result = evaluate_candidate(candidate, entries, ParserTarget(), 2)
+        assert result.misses == GATE_EXECS
         assert result.reward < 0
-
-    def test_budget_zero(self, tmp_path):
-        queue = fill_queue(tmp_path, [("a", b"x")])
-        entries = read_queue(queue)
-        candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
-        with pytest.raises(BudgetZero):
-            evaluate_candidate(candidate, entries, ParserTarget(), 0, budget_execs=0)
 
     def test_executor_failure_wrapped(self, tmp_path):
         queue = fill_queue(tmp_path, [("a", b"xy")])
@@ -242,7 +235,7 @@ class TestEvaluateCandidate:
 
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(ExecutorFailure):
-            evaluate_candidate(candidate, entries, Broken(), 0, budget_execs=10)
+            evaluate_candidate(candidate, entries, Broken(), 0)
 
     @pytest.mark.parametrize("fail_at", [1, len(PARSER_SEEDS) + 1], ids=["replay", "mutation-loop"])
     def test_broken_result_is_executor_failure(self, fail_at):
@@ -252,7 +245,7 @@ class TestEvaluateCandidate:
         executor = BrokenResultExecutor(ParserTarget(), fail_at)
         candidate = Candidate(recipe_with_tokens(["T1"]), "default", "c")
         with pytest.raises(ExecutorFailure) as info:
-            evaluate_candidate(candidate, entries, executor, 0, budget_execs=50)
+            evaluate_candidate(candidate, entries, executor, 0)
         assert isinstance(info.value.__cause__, AttributeError)
         assert executor.calls == fail_at
         if fail_at == 1:
@@ -262,15 +255,15 @@ class TestEvaluateCandidate:
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
         entries = read_queue(queue)
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        a = evaluate_candidate(candidate, entries, StaircaseTarget(), 9, budget_execs=300)
-        b = evaluate_candidate(candidate, entries, StaircaseTarget(), 9, budget_execs=300)
+        a = evaluate_candidate(candidate, entries, StaircaseTarget(), 9)
+        b = evaluate_candidate(candidate, entries, StaircaseTarget(), 9)
         assert a == b
 
     def test_reward_matches_fields(self, tmp_path):
         queue = fill_queue(tmp_path, STAIRCASE_SEEDS)
         entries = read_queue(queue)
         candidate = Candidate(recipe_with_tokens(["XKEY1"]), "dictionary", "c")
-        result = evaluate_candidate(candidate, entries, StaircaseTarget(), 4, budget_execs=500)
+        result = evaluate_candidate(candidate, entries, StaircaseTarget(), 4)
         assert result.reward == compute_reward(
             result.delta_edges,
             result.delta_paths,
@@ -282,7 +275,7 @@ class TestEvaluateCandidate:
         )
 
 
-def reference_evaluate(candidate, entries, executor, weights, rng_seed, budget_execs):
+def reference_evaluate(candidate, entries, executor, weights, rng_seed):
     """evaluate_candidate as it was before misses skipped the target: every
     mutation call runs the target, and a miss's result is thrown away."""
     corpus = list(entries)
@@ -297,7 +290,7 @@ def reference_evaluate(candidate, entries, executor, weights, rng_seed, budget_e
             crash_sigs.add(result.edges_hit)
     delta_edges = delta_paths = delta_crashes = hits = misses = execs = 0
     queue_pos = 0
-    while execs < budget_execs:
+    while execs < GATE_EXECS:
         entry = corpus[queue_pos % len(corpus)]
         queue_pos += 1
         outcome = mutate(compact, entry.data, corpus, rng, 1024, seed=entry)
@@ -365,10 +358,10 @@ class TestLeanGate:
         entries = snapshot_entries(seeds)
         for i, candidate in enumerate(proposed_candidates(entries)):
             counting = CountingExecutor(target_cls())
-            lean = evaluate_candidate(candidate, entries, counting, 50 + i, budget_execs=500)
+            lean = evaluate_candidate(candidate, entries, counting, 50 + i)
             recording = RecordingExecutor(target_cls())
             reference = reference_evaluate(
-                candidate, entries, recording, RewardWeights(), 50 + i, 500
+                candidate, entries, recording, RewardWeights(), 50 + i
             )
             assert lean == reference, candidate.candidate_id
             assert counting.calls == len(set(recording.inputs))
@@ -379,7 +372,7 @@ class TestLeanGate:
         seeds, target_cls = SNAPSHOT_SEEDS["staircase"]
         entries = snapshot_entries(seeds)
         results = [
-            evaluate_candidate(c, entries, target_cls(), 50 + i, budget_execs=500)
+            evaluate_candidate(c, entries, target_cls(), 50 + i)
             for i, c in enumerate(proposed_candidates(entries))
         ]
         assert any(r.misses > 0 for r in results)
@@ -393,7 +386,7 @@ class TestLeanGate:
         entries = snapshot_entries(seeds)
         assert any(target_cls().execute(e.data).crashed for e in entries)
         results = [
-            evaluate_candidate(c, entries, target_cls(), 50 + i, budget_execs=500)
+            evaluate_candidate(c, entries, target_cls(), 50 + i)
             for i, c in enumerate(proposed_candidates(entries))
         ]
         assert any(r.delta_crashes > 0 for r in results)
